@@ -388,22 +388,33 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.seed));
   std::printf("  messages/group: %.0f advertisement + %.0f subscription\n",
               r.advertisement_messages, r.subscription_messages);
-  std::printf("  receiving rate %.1f%%, subscription success %.1f%%, "
-              "lookup %.1f ms\n",
-              100.0 * r.receiving_rate,
-              100.0 * r.subscription_success_rate, r.lookup_latency_ms);
-  std::printf("  delay penalty %.2f, link stress %.2f, node stress %.2f, "
-              "overload %.5f\n",
-              r.delay_penalty, r.link_stress, r.node_stress,
-              r.overload_index);
-  std::printf("  per-group stddev: delay %.2f, link %.2f, overload %.5f, "
-              "lookup %.1f ms\n",
-              r.delay_penalty_group_stddev, r.link_stress_group_stddev,
-              r.overload_index_group_stddev,
-              r.lookup_latency_group_stddev);
-  std::printf("  avg tree: %.0f nodes, depth %.1f\n", r.avg_tree_nodes,
-              r.avg_tree_depth);
+  // The node-runtime harnesses (recovery, streaming) measure neither the
+  // engines' receiving rate, lookup latency, stress and tree shape, nor
+  // (streaming) the tree size: print only what the mode measured.
+  const bool runtime_mode =
+      config.recovery.enabled || config.streaming.enabled;
+  if (runtime_mode) {
+    std::printf("  subscription success %.1f%%\n",
+                100.0 * r.subscription_success_rate);
+  } else {
+    std::printf("  receiving rate %.1f%%, subscription success %.1f%%, "
+                "lookup %.1f ms\n",
+                100.0 * r.receiving_rate,
+                100.0 * r.subscription_success_rate, r.lookup_latency_ms);
+    std::printf("  delay penalty %.2f, link stress %.2f, node stress %.2f, "
+                "overload %.5f\n",
+                r.delay_penalty, r.link_stress, r.node_stress,
+                r.overload_index);
+    std::printf("  per-group stddev: delay %.2f, link %.2f, overload %.5f, "
+                "lookup %.1f ms\n",
+                r.delay_penalty_group_stddev, r.link_stress_group_stddev,
+                r.overload_index_group_stddev,
+                r.lookup_latency_group_stddev);
+    std::printf("  avg tree: %.0f nodes, depth %.1f\n", r.avg_tree_nodes,
+                r.avg_tree_depth);
+  }
   if (config.recovery.enabled) {
+    std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);
     std::printf("  recovery: delivery %.1f%%, reattached %.1f%%, orphan "
                 "%.2f epochs, converged in %.1f, violations %.0f\n",
                 100.0 * r.delivery_ratio, 100.0 * r.reattached_fraction,

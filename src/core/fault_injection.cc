@@ -27,62 +27,48 @@ FaultInjector::~FaultInjector() { transport_->set_fault_filter(nullptr); }
 void FaultInjector::arm(CrashHook on_crash) {
   GC_REQUIRE_MSG(!armed_, "fault plan already armed");
   armed_ = true;
-  if (transport_->sharded()) {
-    // Each crash fires on the victim's own shard (the only thread allowed
-    // to touch the victim's node state) and is pre-declared to the
-    // transport so in-flight suppression needs no cross-shard reads.
-    // crashed_ is appended from several workers; the mutex keeps the
-    // bookkeeping safe and crashed() exposes it sorted.
-    for (const auto& crash : plan_.crashes) {
-      const auto victim = static_cast<overlay::PeerId>(crash.node);
-      transport_->declare_crash(victim, crash.at);
-      transport_->simulator_for(victim).schedule_at(
-          crash.at, [this, victim, on_crash] {
-            {
-              const std::lock_guard<std::mutex> lock(crashed_mu_);
-              crashed_.push_back(victim);
-            }
-            if (on_crash) on_crash(victim);
-          });
-    }
-    return;
-  }
-  auto& simulator = transport_->simulator();
+  // Each crash fires on the victim's own simulator (on a sharded run, its
+  // shard: the only thread allowed to touch the victim's node state).
+  const bool sharded = transport_->sharded();
   for (const auto& crash : plan_.crashes) {
     const auto victim = static_cast<overlay::PeerId>(crash.node);
-    simulator.schedule_at(crash.at, [this, victim, on_crash] {
-      crashed_.push_back(victim);
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
+    auto& simulator = transport_->simulator_for(victim);
+    if (sharded) {
+      // Pre-declared so in-flight suppression needs no cross-shard reads.
+      transport_->declare_crash(victim, crash.at);
+    }
+    simulator.schedule_at(crash.at, [this, victim, on_crash, &simulator] {
+      {
+        // Sharded crashes append from several workers; crashed() exposes
+        // the list sorted.
+        const std::lock_guard<std::mutex> lock(crashed_mu_);
+        crashed_.push_back(victim);
+      }
+      trace::tracer().emit(simulator.now().as_micros(),
                            trace::EventKind::kFaultInjected, victim,
                            overlay::kNoPeer, 0);
       if (on_crash) on_crash(victim);
     });
   }
+  if (sharded) return;
   // Window edges are traced so recovery timelines can be read off the
-  // event stream; the filter itself needs no scheduling.
+  // event stream; the filter itself needs no scheduling.  (The single
+  // wheel only: sharded runs carry no tracer.)
+  auto& simulator = transport_->simulator_for(0);
+  const auto mark = [&simulator](sim::SimTime at, std::uint64_t edge) {
+    simulator.schedule_at(at, [&simulator, edge] {
+      trace::tracer().emit(simulator.now().as_micros(),
+                           trace::EventKind::kFaultInjected, trace::kNoNode,
+                           trace::kNoNode, edge);
+    });
+  };
   for (const auto& window : plan_.partitions) {
-    simulator.schedule_at(window.begin, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 1);
-    });
-    simulator.schedule_at(window.end, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 2);
-    });
+    mark(window.begin, 1);
+    mark(window.end, 2);
   }
   for (const auto& burst : plan_.bursts) {
-    simulator.schedule_at(burst.begin, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 3);
-    });
-    simulator.schedule_at(burst.end, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 4);
-    });
+    mark(burst.begin, 3);
+    mark(burst.end, 4);
   }
 }
 

@@ -34,8 +34,9 @@ class FaultInjector final : public FaultFilter {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules every crash of the plan on the simulator.  Call once,
-  /// before running; `on_crash` fires at each crash instant.
+  /// Schedules every crash of the plan on its victim's simulator
+  /// (Transport::simulator_for).  Call once, before running; `on_crash`
+  /// fires at each crash instant.
   void arm(CrashHook on_crash);
 
   /// Peers crashed by the plan so far.  In sharded mode crashes land from

@@ -40,127 +40,4 @@ std::vector<overlay::PeerId> rendezvous_replicas(std::uint32_t group,
   return replicas;
 }
 
-ReplicatedTree::ReplicatedTree(const overlay::PeerPopulation& population,
-                               const overlay::OverlayGraph& graph,
-                               const AdvertisementState& advert,
-                               SpanningTree& tree)
-    : population_(&population), tree_(&tree) {
-  for (const auto node : tree.nodes()) {
-    if (node == tree.root()) continue;
-    const auto primary = tree.parent(node);
-    // Candidates: overlay neighbours that hold the advertisement (they can
-    // reach the tree), excluding the primary parent; prefer the closest by
-    // coordinate distance.
-    std::vector<overlay::PeerId> holders;
-    for (const auto nbr : graph.neighbors(node)) {
-      if (nbr == primary) continue;
-      if (advert.received(nbr)) holders.push_back(nbr);
-    }
-    if (holders.empty()) continue;
-    std::sort(holders.begin(), holders.end(),
-              [&](overlay::PeerId a, overlay::PeerId b) {
-                return population.coord_distance_ms(node, a) <
-                       population.coord_distance_ms(node, b);
-              });
-    // Prefer the closest candidate already on the tree and outside the
-    // node's own subtree (usable instantly at failover); fall back to the
-    // closest advert holder — it could join on demand via its reverse
-    // path, though this implementation treats it as unavailable, so the
-    // fallback mainly preserves coverage reporting.
-    overlay::PeerId on_tree_choice = overlay::kNoPeer;
-    for (const auto candidate : holders) {
-      if (!tree.contains(candidate)) continue;
-      if (tree.in_subtree(candidate, node)) continue;
-      on_tree_choice = candidate;
-      break;
-    }
-    const auto chosen =
-        on_tree_choice != overlay::kNoPeer ? on_tree_choice : holders.front();
-    backup_.emplace(node, chosen);
-  }
-}
-
-std::optional<overlay::PeerId> ReplicatedTree::backup_parent(
-    overlay::PeerId node) const {
-  const auto it = backup_.find(node);
-  if (it == backup_.end()) return std::nullopt;
-  return it->second;
-}
-
-double ReplicatedTree::coverage() const {
-  const auto nodes = tree_->node_count();
-  if (nodes <= 1) return 0.0;
-  return static_cast<double>(backup_.size()) /
-         static_cast<double>(nodes - 1);
-}
-
-bool ReplicatedTree::backup_valid(overlay::PeerId child,
-                                  overlay::PeerId backup,
-                                  overlay::PeerId failed) const {
-  if (backup == failed) return false;
-  if (!tree_->contains(backup)) return false;
-  // The backup must survive the failure: not inside the failed subtree
-  // (unless it is inside the *child's* own subtree, which moves with it —
-  // but then it cannot adopt the child either).
-  if (tree_->in_subtree(backup, child)) return false;
-  if (tree_->in_subtree(backup, failed)) {
-    // Inside a sibling subtree that is also being detached: only usable
-    // if that sibling recovers first; to stay conservative, reject.
-    return false;
-  }
-  return true;
-}
-
-ReplicatedTree::FailoverReport ReplicatedTree::simulate_failover(
-    overlay::PeerId failed) const {
-  GC_REQUIRE(tree_->contains(failed));
-  GC_REQUIRE(failed != tree_->root());
-  FailoverReport report;
-  auto orphans = tree_->subtree_subscribers(failed);
-  report.orphaned_subscribers =
-      orphans.size() - (tree_->is_subscriber(failed) ? 1 : 0);
-  for (const auto child : tree_->children(failed)) {
-    const auto backup = backup_parent(child);
-    const auto subtree_subs = tree_->subtree_subscribers(child).size();
-    if (backup && backup_valid(child, *backup, failed)) {
-      ++report.switched_subtrees;
-      ++report.failover_messages;
-      report.recovered_subscribers += subtree_subs;
-    } else {
-      report.lost_subscribers += subtree_subs;
-    }
-  }
-  return report;
-}
-
-ReplicatedTree::FailoverReport ReplicatedTree::failover(
-    overlay::PeerId failed) {
-  const auto report = simulate_failover(failed);
-  // Decide before mutating, so the applied actions match the report even
-  // though earlier moves change subtree relationships.
-  struct Decision {
-    overlay::PeerId child;
-    overlay::PeerId backup;  // kNoPeer = prune
-  };
-  std::vector<Decision> decisions;
-  for (const auto child : tree_->children(failed)) {
-    const auto backup = backup_parent(child);
-    decisions.push_back(
-        Decision{child, backup && backup_valid(child, *backup, failed)
-                            ? *backup
-                            : overlay::kNoPeer});
-  }
-  for (const auto& d : decisions) {
-    if (d.backup != overlay::kNoPeer) {
-      tree_->reparent(d.child, d.backup);
-    } else {
-      tree_->prune(d.child);
-    }
-  }
-  // The failed node is a leaf now.
-  tree_->prune(failed);
-  backup_.erase(failed);
-  return report;
-}
-
 }  // namespace groupcast::core

@@ -1,23 +1,20 @@
-// Backup-parent replication for spanning trees.
+// Deterministic rendezvous replica sets.
 //
 // Section 6 lists failure resilience through dynamic replication [35] as a
-// planned GroupCast extension.  This module implements the tree-level half
-// of it: every tree node pre-arranges a *backup parent* — an overlay
-// neighbour that also holds the group advertisement and is not inside the
-// node's own subtree.  When a relay crashes, each of its child subtrees
-// whose root has a live backup re-attaches instantly (one message),
-// instead of falling back to the ripple-search repair path.
-//
-// The class wraps an established SpanningTree; simulate_failover answers
-// "what would we lose" without mutating it, failover applies the switch.
+// planned GroupCast extension.  Every node derives the same replica set of
+// a group's rendezvous point locally; the live runtime uses it as the last
+// recovery-ladder rung and as the member set of leased leadership
+// (core/node.h, docs/ROBUSTNESS.md).  The tree-level half — a pre-arranged
+// backup parent per tree node — lives in the runtime as rung 0 of the
+// recovery ladder.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
-#include "core/advertisement.h"
-#include "core/spanning_tree.h"
+#include "overlay/peer.h"
 
 namespace groupcast::core {
 
@@ -40,51 +37,5 @@ using LivenessFilter = std::function<bool(overlay::PeerId)>;
 std::vector<overlay::PeerId> rendezvous_replicas(
     std::uint32_t group, overlay::PeerId primary, std::size_t population,
     std::size_t count, const LivenessFilter& alive = nullptr);
-
-class ReplicatedTree {
- public:
-  /// Assigns backup parents to every non-root node of `tree`: the closest
-  /// advert-holding overlay neighbour that is already on the tree outside
-  /// the node's own subtree (usable instantly), falling back to the
-  /// closest advert holder.  The tree is held by reference and mutated
-  /// only by failover().
-  ReplicatedTree(const overlay::PeerPopulation& population,
-                 const overlay::OverlayGraph& graph,
-                 const AdvertisementState& advert, SpanningTree& tree);
-
-  /// The assigned backup parent of a node, if any.
-  std::optional<overlay::PeerId> backup_parent(overlay::PeerId node) const;
-
-  /// Fraction of non-root tree nodes holding a usable backup.
-  double coverage() const;
-
-  struct FailoverReport {
-    std::size_t orphaned_subscribers = 0;  // below the failed relay
-    std::size_t switched_subtrees = 0;     // re-attached via backups
-    std::size_t recovered_subscribers = 0;
-    std::size_t lost_subscribers = 0;      // need the slow repair path
-    std::size_t failover_messages = 0;     // one per switched subtree
-  };
-
-  /// Applies the failure of `failed` (must be a non-root tree node):
-  /// child subtrees switch to their roots' backup parents where valid;
-  /// subtrees without a valid backup are pruned (their subscribers are
-  /// reported as lost and must use the regular repair).
-  FailoverReport failover(overlay::PeerId failed);
-
-  /// Same accounting without mutating the tree.
-  FailoverReport simulate_failover(overlay::PeerId failed) const;
-
-  const SpanningTree& tree() const { return *tree_; }
-
- private:
-  /// True if `backup` can adopt `child`'s subtree once `failed` is gone.
-  bool backup_valid(overlay::PeerId child, overlay::PeerId backup,
-                    overlay::PeerId failed) const;
-
-  const overlay::PeerPopulation* population_;
-  SpanningTree* tree_;
-  std::unordered_map<overlay::PeerId, overlay::PeerId> backup_;
-};
 
 }  // namespace groupcast::core

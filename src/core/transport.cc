@@ -34,7 +34,8 @@ Transport::Transport(sim::Simulator& simulator,
       bandwidth_(make_bandwidth_model(options.bandwidth, population)),
       rng_(rng.split()),
       handlers_(population.size()),
-      generation_(population.size(), 0) {
+      generation_(population.size(), 0),
+      shard_state_(1) {
   GC_REQUIRE(options_.loss_probability >= 0.0 &&
              options_.loss_probability <= 1.0);
 }
@@ -49,11 +50,11 @@ Transport::Transport(sim::ShardSet& shards,
       rng_(rng.split()),
       handlers_(population.size()),
       generation_(population.size(), 0),
+      shard_state_(shards.num_shards()),
       shards_(&shards),
       peer_shard_(population.size(), 0),
       send_counter_(population.size(), 0),
-      crash_at_us_(population.size(), -1),
-      shard_state_(shards.num_shards()) {
+      crash_at_us_(population.size(), -1) {
   GC_REQUIRE(options_.loss_probability >= 0.0 &&
              options_.loss_probability <= 1.0);
   loss_seed_ = rng_();
@@ -76,29 +77,21 @@ Transport::~Transport() {
   if (shards_ != nullptr) shards_->set_client(nullptr);
 }
 
-const MessageStats& Transport::stats() const {
-  if (shards_ == nullptr) return stats_;
-  aggregated_stats_ = MessageStats{};
-  for (const auto& state : shard_state_) aggregated_stats_ += state.stats;
-  return aggregated_stats_;
-}
-
-std::size_t Transport::messages_sent() const {
-  if (shards_ == nullptr) return sent_;
-  std::size_t total = 0;
-  for (const auto& state : shard_state_) total += state.sent;
+MessageStats Transport::stats() const {
+  MessageStats total;
+  for (const auto& state : shard_state_) total += state.stats;
   return total;
 }
 
+std::size_t Transport::messages_sent() const { return stats().total(); }
+
 std::size_t Transport::messages_lost() const {
-  if (shards_ == nullptr) return lost_;
   std::size_t total = 0;
   for (const auto& state : shard_state_) total += state.lost;
   return total;
 }
 
 std::size_t Transport::bytes_sent() const {
-  if (shards_ == nullptr) return bytes_sent_;
   std::size_t total = 0;
   for (const auto& state : shard_state_) total += state.bytes_sent;
   return total;
@@ -185,46 +178,44 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
                      MessageBody body) {
   GC_REQUIRE(from < handlers_.size() && to < handlers_.size());
   GC_REQUIRE_MSG(from != to, "loopback sends are a protocol bug");
-  if (shards_ != nullptr) {
-    sharded_send(from, to, std::move(body));
-    return;
-  }
-  ++sent_;
-  stats_.count(kind_of(body));
+  const auto src = shard_of(from);
+  ShardState& state = shard_state_[src];
+  state.stats.count(kind_of(body));
   const std::size_t wire_bytes = encoded_size(body);
-  bytes_sent_ += wire_bytes;
+  state.bytes_sent += wire_bytes;
   trace::counters().incr(from, trace::CounterId::kMessagesSent);
+  const std::uint64_t counter = shards_ != nullptr ? send_counter_[from]++ : 0;
+  const auto now = simulator_for(from).now();
   // Uplink pacing drains the sender's token bucket on *every* send — the
   // frame is serialized onto the access link whether or not the network
   // drops it downstream — so the bucket state is identical no matter
-  // where a message later dies.
+  // where a message later dies.  Each peer's bucket is only touched here,
+  // on the sending peer's own shard, so sharded runs need no lock; pacing
+  // only ever *adds* delay, so the conservative lookahead bound holds.
   std::int64_t pacing_us = 0;
   if (bandwidth_ != nullptr) {
-    pacing_us = bandwidth_->acquire_uplink(from, wire_bytes,
-                                           simulator_->now().as_micros());
+    pacing_us =
+        bandwidth_->acquire_uplink(from, wire_bytes, now.as_micros());
   }
-  const auto drop = [&](overlay::PeerId node, overlay::PeerId peer,
-                        trace::DropReason reason) {
-    ++lost_;
-    trace::counters().incr(node, trace::CounterId::kMessagesDropped);
-    trace::tracer().emit(simulator_->now().as_micros(),
-                         trace::EventKind::kMessageDropped, node, peer,
-                         static_cast<std::uint64_t>(reason));
+  const auto drop = [&](trace::DropReason reason) {
+    ++state.lost;
+    trace::counters().incr(from, trace::CounterId::kMessagesDropped);
+    trace::tracer().emit(now.as_micros(), trace::EventKind::kMessageDropped,
+                         from, to, static_cast<std::uint64_t>(reason));
   };
   if (fault_filter_ != nullptr) {
-    const auto now = simulator_->now();
     if (fault_filter_->blocked(from, to, now)) {
-      drop(from, to, trace::DropReason::kPartitioned);
+      drop(trace::DropReason::kPartitioned);
       return;
     }
     const double burst = fault_filter_->extra_loss(now);
-    if (burst > 0.0 && rng_.chance(burst)) {
-      drop(from, to, trace::DropReason::kBurstLoss);
+    if (burst > 0.0 && lost(burst, from * 2 + 1, counter)) {
+      drop(trace::DropReason::kBurstLoss);
       return;
     }
   }
-  if (rng_.chance(options_.loss_probability)) {
-    drop(from, to, trace::DropReason::kLoss);
+  if (lost(options_.loss_probability, from * 2, counter)) {
+    drop(trace::DropReason::kLoss);
     return;
   }
   auto latency = sim::SimTime::millis(population_->latency_ms(from, to));
@@ -236,13 +227,49 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
   // deliveries; the histogram sees the latency they will experience.
   trace::histograms().record(trace::HistogramId::kEdgeDelayUs,
                              static_cast<std::uint64_t>(latency.as_micros()));
-  const auto slot = allocate_slot();
-  InFlight& record = inflight_[slot];
+
+  // The enqueue, the other step that differs by mode.
+  if (shards_ == nullptr) {
+    // A pooled slot on the wheel's fixed-signature timer path.
+    const auto slot = allocate_slot();
+    InFlight& record = inflight_[slot];
+    record.from = from;
+    record.to = to;
+    record.sent_in = generation_[from];
+    record.body = std::move(body);
+    simulator_->schedule_timer(latency, &Transport::deliver_thunk, this,
+                               slot);
+    return;
+  }
+  ShardRecord record;
+  record.send_us = now.as_micros();
+  record.arrival_us = (now + latency).as_micros();
+  record.counter = counter;
   record.from = from;
   record.to = to;
-  record.sent_in = generation_[from];
   record.body = std::move(body);
-  simulator_->schedule_timer(latency, &Transport::deliver_thunk, this, slot);
+  const auto dst = peer_shard_[to];
+  if (dst == src) {
+    // Same shard (same access router): deliver through the shard's own
+    // arrival queue, which keeps delivery order a pure function of
+    // (arrival, src, counter) whatever the shard count.
+    state.arrivals.push_back(std::move(record));
+    std::push_heap(state.arrivals.begin(), state.arrivals.end(),
+                   LaterRecord{});
+  } else {
+    state.outbox[dst].push_back(std::move(record));
+  }
+}
+
+bool Transport::lost(double p, std::uint64_t stream, std::uint64_t counter) {
+  if (shards_ == nullptr) return rng_.chance(p);
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  std::uint64_t state = loss_seed_ ^ (stream * 0x9E3779B97F4A7C15ULL);
+  util::splitmix64(state);
+  state += counter;
+  const std::uint64_t bits = util::splitmix64(state);
+  return static_cast<double>(bits >> 11) * 0x1.0p-53 < p;
 }
 
 void Transport::deliver_thunk(void* context, std::uint64_t slot) {
@@ -265,16 +292,21 @@ void Transport::deliver(std::uint32_t slot) {
   InFlight& record = inflight_[slot];
   const auto from = record.from;
   const auto to = record.to;
-  const auto sent_in = record.sent_in;
+  const bool origin_departed = generation_[from] != record.sent_in;
   MessageBody body = std::move(record.body);
   record.next_free = free_head_;
   free_head_ = slot;
+  dispatch(simulator_->now().as_micros(), origin_departed, from, to,
+           std::move(body));
+}
 
-  if (generation_[from] != sent_in) {  // sender crashed in flight
+void Transport::dispatch(std::int64_t now_us, bool origin_departed,
+                         overlay::PeerId from, overlay::PeerId to,
+                         MessageBody&& body) {
+  if (origin_departed) {
     trace::counters().incr(from, trace::CounterId::kMessagesDropped);
     trace::tracer().emit(
-        simulator_->now().as_micros(), trace::EventKind::kMessageDropped,
-        from, to,
+        now_us, trace::EventKind::kMessageDropped, from, to,
         static_cast<std::uint64_t>(trace::DropReason::kOriginDeparted));
     return;
   }
@@ -282,8 +314,7 @@ void Transport::deliver(std::uint32_t slot) {
   if (handler == nullptr) {  // receiver departed in flight
     trace::counters().incr(to, trace::CounterId::kMessagesDropped);
     trace::tracer().emit(
-        simulator_->now().as_micros(), trace::EventKind::kMessageDropped,
-        to, from,
+        now_us, trace::EventKind::kMessageDropped, to, from,
         static_cast<std::uint64_t>(trace::DropReason::kNoReceiver));
     return;
   }
@@ -292,87 +323,6 @@ void Transport::deliver(std::uint32_t slot) {
 }
 
 // ------------------------------------------------------------- sharded mode
-
-bool Transport::hashed_chance(double p, std::uint64_t stream,
-                              std::uint64_t counter) const {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  std::uint64_t state = loss_seed_ ^ (stream * 0x9E3779B97F4A7C15ULL);
-  util::splitmix64(state);
-  state += counter;
-  const std::uint64_t bits = util::splitmix64(state);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53 < p;
-}
-
-void Transport::sharded_send(overlay::PeerId from, overlay::PeerId to,
-                             MessageBody body) {
-  const auto src = peer_shard_[from];
-  ShardState& state = shard_state_[src];
-  ++state.sent;
-  state.stats.count(kind_of(body));
-  const std::size_t wire_bytes = encoded_size(body);
-  state.bytes_sent += wire_bytes;
-  trace::counters().incr(from, trace::CounterId::kMessagesSent);
-  const std::uint64_t counter = send_counter_[from]++;
-  sim::Simulator& src_simulator = shards_->shard(src);
-  const auto now = src_simulator.now();
-  // Uplink buckets are safe without synchronization: each peer's bucket
-  // is only touched here, on the sending peer's own shard, in the
-  // deterministic (arrival, src, counter) execution order.  Pacing only
-  // ever *adds* delay, so the conservative lookahead bound still holds.
-  std::int64_t pacing_us = 0;
-  if (bandwidth_ != nullptr) {
-    pacing_us =
-        bandwidth_->acquire_uplink(from, wire_bytes, now.as_micros());
-  }
-  const auto drop = [&](overlay::PeerId node, overlay::PeerId peer,
-                        trace::DropReason reason) {
-    ++state.lost;
-    trace::counters().incr(node, trace::CounterId::kMessagesDropped);
-    trace::tracer().emit(now.as_micros(), trace::EventKind::kMessageDropped,
-                         node, peer, static_cast<std::uint64_t>(reason));
-  };
-  if (fault_filter_ != nullptr) {
-    if (fault_filter_->blocked(from, to, now)) {
-      drop(from, to, trace::DropReason::kPartitioned);
-      return;
-    }
-    const double burst = fault_filter_->extra_loss(now);
-    if (hashed_chance(burst, from * 2 + 1, counter)) {
-      drop(from, to, trace::DropReason::kBurstLoss);
-      return;
-    }
-  }
-  if (hashed_chance(options_.loss_probability, from * 2, counter)) {
-    drop(from, to, trace::DropReason::kLoss);
-    return;
-  }
-  auto latency = sim::SimTime::millis(population_->latency_ms(from, to));
-  if (bandwidth_ != nullptr) {
-    latency += sim::SimTime::micros(pacing_us +
-                                    bandwidth_->downlink_us(to, wire_bytes));
-  }
-  trace::histograms().record(trace::HistogramId::kEdgeDelayUs,
-                             static_cast<std::uint64_t>(latency.as_micros()));
-  ShardRecord record;
-  record.send_us = now.as_micros();
-  record.arrival_us = (now + latency).as_micros();
-  record.counter = counter;
-  record.from = from;
-  record.to = to;
-  record.body = std::move(body);
-  const auto dst = peer_shard_[to];
-  if (dst == src) {
-    // Same shard (same access router): deliver through the shard's own
-    // arrival queue, which keeps delivery order a pure function of
-    // (arrival, src, counter) whatever the shard count.
-    state.arrivals.push_back(std::move(record));
-    std::push_heap(state.arrivals.begin(), state.arrivals.end(),
-                   LaterRecord{});
-  } else {
-    state.outbox[dst].push_back(std::move(record));
-  }
-}
 
 void Transport::merge_inbound(std::size_t shard) {
   ShardState& state = shard_state_[shard];
@@ -401,33 +351,14 @@ std::size_t Transport::deliver_arrivals_at(std::size_t shard,
     ShardRecord record = std::move(state.arrivals.back());
     state.arrivals.pop_back();
     ++fired;
-    deliver_record(shard, std::move(record));
+    // The sender's declared crash inside [send, arrival] mirrors the
+    // single-wheel generation check without a cross-thread read.
+    const auto crash_us = crash_at_us_[record.from];
+    dispatch(shards_->shard(shard).now().as_micros(),
+             crash_us >= record.send_us && crash_us <= record.arrival_us,
+             record.from, record.to, std::move(record.body));
   }
   return fired;
-}
-
-void Transport::deliver_record(std::size_t shard, ShardRecord&& record) {
-  const auto now_us = shards_->shard(shard).now().as_micros();
-  const auto crash_us = crash_at_us_[record.from];
-  if (crash_us >= record.send_us && crash_us <= record.arrival_us) {
-    // Sender crashed while the message was in flight; mirrors the
-    // single-wheel generation check without a cross-thread read.
-    trace::counters().incr(record.from, trace::CounterId::kMessagesDropped);
-    trace::tracer().emit(
-        now_us, trace::EventKind::kMessageDropped, record.from, record.to,
-        static_cast<std::uint64_t>(trace::DropReason::kOriginDeparted));
-    return;
-  }
-  const auto& handler = handlers_[record.to];
-  if (handler == nullptr) {  // receiver departed in flight
-    trace::counters().incr(record.to, trace::CounterId::kMessagesDropped);
-    trace::tracer().emit(
-        now_us, trace::EventKind::kMessageDropped, record.to, record.from,
-        static_cast<std::uint64_t>(trace::DropReason::kNoReceiver));
-    return;
-  }
-  trace::counters().incr(record.to, trace::CounterId::kMessagesReceived);
-  handler(Envelope{record.from, record.to, std::move(record.body)});
 }
 
 }  // namespace groupcast::core

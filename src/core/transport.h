@@ -348,14 +348,12 @@ class Transport final : public sim::ShardSet::Client {
   /// Every send is counted, including ones that are later lost.
   void send(overlay::PeerId from, overlay::PeerId to, MessageBody body);
 
-  const MessageStats& stats() const;
+  MessageStats stats() const;
   std::size_t messages_sent() const;
   std::size_t messages_lost() const;
   /// Total wire bytes of every message sent (per the encoding in wire.h).
   std::size_t bytes_sent() const;
 
-  /// The single-wheel simulator; only valid outside sharded mode.
-  sim::Simulator& simulator() { return *simulator_; }
   /// The simulator that owns `peer`'s events: the shard it hashes to in
   /// sharded mode, the single wheel otherwise.  Node code resolves its
   /// clock and timers through this so it runs unchanged in both modes.
@@ -376,10 +374,10 @@ class Transport final : public sim::ShardSet::Client {
 
   const overlay::PeerPopulation& population() const { return *population_; }
 
-  /// Resident bytes of transport state: handler/generation tables plus
-  /// the pooled in-flight slots (single-wheel) or the per-shard arrival
-  /// queues and mailboxes (sharded).  Feeds the bytes_per_peer footprint
-  /// gauge in bench_micro.
+  /// Resident bytes of transport state: handler/generation tables, the
+  /// per-shard message accounts, plus the pooled in-flight slots
+  /// (single-wheel) or the per-shard arrival queues and mailboxes
+  /// (sharded).  Feeds the bytes_per_peer footprint gauge in bench_micro.
   std::size_t memory_bytes() const;
 
   // sim::ShardSet::Client:
@@ -435,24 +433,27 @@ class Transport final : public sim::ShardSet::Client {
   };
   /// Per-shard message-plane state, owned by the shard's worker thread
   /// (outboxes hand over at epoch barriers; the main thread may touch any
-  /// shard while the workers are parked).
+  /// shard while the workers are parked).  The single wheel keeps exactly
+  /// one, with no arrival queue or outboxes: its accounts are the same
+  /// fields, so every accessor just sums the shards.
   struct alignas(64) ShardState {
     MessageStats stats;
-    std::size_t sent = 0;
     std::size_t lost = 0;
     std::size_t bytes_sent = 0;
     std::vector<ShardRecord> arrivals;               // min-heap, LaterRecord
     std::vector<std::vector<ShardRecord>> outbox;    // indexed by dst shard
   };
 
-  void sharded_send(overlay::PeerId from, overlay::PeerId to,
-                    MessageBody body);
-  void deliver_record(std::size_t shard, ShardRecord&& record);
-  /// Stateless Bernoulli draw: a splitmix64 hash of (seed, stream,
-  /// counter) mapped to [0, 1), compared against p.  Independent of
-  /// thread interleaving and shard count.
-  bool hashed_chance(double p, std::uint64_t stream,
-                     std::uint64_t counter) const;
+  /// The loss draw, one of the two send steps (with the enqueue) that
+  /// differ by mode: the single wheel draws sequentially from its own
+  /// stream.  Sharded mode draws statelessly — a splitmix64 hash of
+  /// (seed, `stream`, per-sender `counter`) mapped to [0, 1) and compared
+  /// against p — so no draw depends on thread interleaving or shard count.
+  bool lost(double p, std::uint64_t stream, std::uint64_t counter);
+  /// Hands an arrived message to its receiver, or drops it when the
+  /// sender crashed in flight (`origin_departed`) or the receiver left.
+  void dispatch(std::int64_t now_us, bool origin_departed,
+                overlay::PeerId from, overlay::PeerId to, MessageBody&& body);
 
   sim::Simulator* simulator_;
   const overlay::PeerPopulation* population_;
@@ -467,12 +468,10 @@ class Transport final : public sim::ShardSet::Client {
   /// stale came from a peer that crashed mid-flight and is suppressed.
   std::vector<std::uint64_t> generation_;
   const FaultFilter* fault_filter_ = nullptr;
-  MessageStats stats_;
-  std::size_t sent_ = 0;
-  std::size_t lost_ = 0;
-  std::size_t bytes_sent_ = 0;
   std::vector<InFlight> inflight_;
   std::uint32_t free_head_ = kNoSlot;
+  /// One entry per shard; exactly one on the single wheel.
+  std::vector<ShardState> shard_state_;
 
   // Sharded-mode state (empty in single-wheel mode).
   sim::ShardSet* shards_ = nullptr;
@@ -481,8 +480,6 @@ class Transport final : public sim::ShardSet::Client {
   std::vector<std::uint64_t> send_counter_;
   /// Declared crash instant per peer, or -1 (none).
   std::vector<std::int64_t> crash_at_us_;
-  std::vector<ShardState> shard_state_;
-  mutable MessageStats aggregated_stats_;
 };
 
 }  // namespace groupcast::core

@@ -1,19 +1,28 @@
 // Internals shared by the node-runtime harnesses (metrics/recovery.h and
-// metrics/streaming.h): the conservative-lookahead bound that lets a
-// scenario run on the sharded event kernel, and the per-shard trace
-// registries that keep counter/histogram collection shard-count
-// invariant.  Not part of the public metrics API.
+// metrics/streaming.h): the one scaffold both run their phases on — the
+// event kernel (the middleware's single wheel, or a ShardSet of
+// conservative-lookahead shards), the transport, one GroupCastNode per
+// peer, the application retry loop and the result tail — plus the
+// lookahead bound and per-shard trace registries behind the sharded
+// kernel.  Every single-wheel/sharded decision of a harness run is made
+// here.  Not part of the public metrics API.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/middleware.h"
+#include "core/node.h"
+#include "core/transport.h"
+#include "metrics/experiment.h"
 #include "net/topology.h"
 #include "overlay/population.h"
+#include "sim/recorder.h"
 #include "sim/shard_set.h"
-#include "trace/counters.h"
-#include "trace/histogram.h"
+#include "util/rng.h"
 
 namespace groupcast::metrics::detail {
 
@@ -29,27 +38,83 @@ namespace groupcast::metrics::detail {
 std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
                                 const overlay::PeerPopulation& population);
 
-/// Per-shard trace facilities: worker threads resolve trace::counters() /
-/// trace::histograms() thread-locally, so each shard gets its own
-/// registry (installed on the worker via exec_on_shards) and the
-/// snapshots merge into the caller's registry at the end — integer sums,
-/// hence shard-count invariant.
-struct ShardTrace {
-  trace::CounterRegistry counters;
-  trace::HistogramRegistry histograms;
-  std::unique_ptr<trace::ScopedCounterRegistry> counter_guard;
-  std::unique_ptr<trace::ScopedHistogramRegistry> histogram_guard;
+struct ShardTrace;
+
+/// The node runtime of one harness run.  Construction builds, in this
+/// order: the scenario's middleware, the harness RNG stream split off it,
+/// the event kernel (a ShardSet when config.shards >= 2), the transport,
+/// the per-shard trace registries, and one started node per peer.  The
+/// harness then drives its own phases through advance() and the node
+/// table, and ends with finish().
+class NodeRuntime {
+ public:
+  /// Per-peer adjustment of the shared node options (e.g. impairments).
+  using Adjust = std::function<void(overlay::PeerId, core::NodeOptions&)>;
+
+  /// `epoch` is the retry delay of the application loop, the settle step
+  /// and the flight-recorder period.
+  NodeRuntime(const ScenarioConfig& config,
+              const core::TransportOptions& transport_options,
+              const core::NodeOptions& node_options, sim::SimTime epoch,
+              const Adjust& adjust = nullptr);
+  ~NodeRuntime();
+
+  NodeRuntime(const NodeRuntime&) = delete;
+  NodeRuntime& operator=(const NodeRuntime&) = delete;
+
+  core::GroupCastMiddleware& middleware() { return *middleware_; }
+  util::Rng& rng() { return rng_; }
+  core::Transport& transport() { return *transport_; }
+  std::vector<std::unique_ptr<core::GroupCastNode>>& nodes() {
+    return nodes_;
+  }
+
+  /// Runs the kernel `by` past the previous target.
+  void advance(sim::SimTime by);
+  /// The target of the last advance (zero before the first).
+  sim::SimTime clock() const { return clock_; }
+  /// The kernel's global clock.
+  sim::SimTime now() const;
+
+  /// Arms one flight-recorder frame per epoch when the facility is on (a
+  /// disabled run schedules nothing).  The recorder snapshots global state
+  /// from an event handler, which has no safe home on a sharded run, so
+  /// that is refused.
+  void arm_flight_recorder();
+
+  /// Application-level retry loop: once `p` wants its groups, a subscribe
+  /// ladder that gives up re-subscribes one epoch later, as a real client
+  /// would, until stop_wanting(p).  The want flags are one byte per peer,
+  /// each only touched from its peer's own shard, so no lock is needed.
+  void want_subscriptions(overlay::PeerId p);
+  void stop_wanting(overlay::PeerId p) { want_[p] = 0; }
+
+  /// Advances epoch by epoch, at most `max_epochs`, until no peer in
+  /// `peers` has a subscribe exchange pending on any of `groups`.
+  void settle(const std::vector<overlay::PeerId>& peers,
+              const std::vector<core::GroupId>& groups,
+              std::size_t max_epochs);
+
+  /// The result tail: repair edges, the per-kind message accounts, event
+  /// totals, the folded counter and histogram snapshots, and the
+  /// flight-recorder timeline when one was armed.
+  void finish(ScenarioResult& result);
+
+ private:
+  void resubscribe_later(overlay::PeerId p, core::GroupId g);
+
+  // Declaration order is teardown order reversed: the nodes go before the
+  // transport, and the transport (the ShardSet client) before the kernel.
+  std::unique_ptr<core::GroupCastMiddleware> middleware_;
+  util::Rng rng_;
+  sim::SimTime epoch_;
+  sim::SimTime clock_ = sim::SimTime::zero();
+  std::optional<sim::ShardSet> engine_;
+  std::optional<core::Transport> transport_;
+  std::vector<std::unique_ptr<ShardTrace>> shard_trace_;
+  std::vector<std::unique_ptr<core::GroupCastNode>> nodes_;
+  std::vector<char> want_;
+  std::optional<sim::PeriodicRecorder> recorder_;
 };
-
-/// Installs one ShardTrace per shard (empty when the caller collects
-/// nothing): each shard's worker thread gets isolated registries so the
-/// run's samples never contend and merge deterministically.
-std::vector<std::unique_ptr<ShardTrace>> install_shard_trace(
-    sim::ShardSet& engine, std::size_t shards, std::size_t peer_count);
-
-/// Parks the workers' registries and folds the per-shard snapshots into
-/// the caller's (merge is a no-op while the caller's are disabled).
-void fold_shard_trace(sim::ShardSet& engine,
-                      std::vector<std::unique_ptr<ShardTrace>>& shard_trace);
 
 }  // namespace groupcast::metrics::detail

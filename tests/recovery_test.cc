@@ -1,7 +1,7 @@
 // End-to-end robustness acceptance tests: the churn-recovery harness under
 // heavy loss and ungraceful churn, determinism of the recovery grid across
-// worker counts, and a regression pinning the pre-retry failure mode where
-// one dropped JoinAck stranded a subscriber forever.
+// worker counts, the per-kind message accounts it reports, and the retry
+// ladder riding out a dropped JoinAck.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -71,6 +71,26 @@ TEST(Recovery, GridResultsIdenticalAcrossJobCounts) {
   // The recovery path actually exercised the retry machinery.
   EXPECT_GT(a[0].counters.total(trace::CounterId::kControlRetries), 0u);
   EXPECT_GT(a[0].counters.total(trace::CounterId::kHeartbeats), 0u);
+}
+
+// The message columns carry their labels' meaning: advertisement and
+// subscription sends per kind (the SSA flood is not zero), never the
+// total of every send with heartbeats and data folded in.
+TEST(Recovery, ReportsMessagesPerKind) {
+  metrics::GridOptions options;
+  options.counters = true;
+  const std::vector<metrics::ScenarioConfig> points{hostile_point()};
+  const auto result = metrics::run_scenario_grid(points, options).front();
+  const auto sent = static_cast<double>(
+      result.counters.total(trace::CounterId::kMessagesSent));
+  EXPECT_GT(result.advertisement_messages, 0.0);
+  EXPECT_GT(result.subscription_messages, 0.0);
+  EXPECT_LE(result.advertisement_messages + result.subscription_messages,
+            sent);
+  // Heartbeats and payloads are neither.
+  EXPECT_GT(result.counters.total(trace::CounterId::kHeartbeats), 0u);
+  EXPECT_LT(result.advertisement_messages + result.subscription_messages,
+            sent);
 }
 
 // The data-plane acceptance bar: at loss = 0.2 (no churn) the legacy
@@ -231,29 +251,7 @@ struct JoinOutageFixture {
   }
 };
 
-// Regression: with the legacy single-attempt, no-escalation configuration,
-// the outage strands the subscriber — pinned so the old failure mode stays
-// visible as the behaviour the retry ladder exists to fix.
-TEST(Recovery, SingleAttemptJoinIsStrandedByDroppedJoinAck) {
-  core::NodeOptions legacy;
-  legacy.retry.max_attempts = 1;
-  legacy.escalation = false;
-  JoinOutageFixture f(legacy);
-  core::FaultInjector injector(sim::FaultPlan::parse("burst@5s-6.5s:1.0"),
-                               f.transport);
-  const auto subscriber = f.pick_subscriber();
-  ASSERT_NE(subscriber, overlay::kNoPeer);
-  bool reported = false, success = true;
-  f.nodes[subscriber]->on_subscribe_result(
-      [&](core::GroupId, bool ok) { reported = true; success = ok; });
-  f.nodes[subscriber]->subscribe(JoinOutageFixture::kGroup);
-  f.middleware.simulator().run_until(sim::SimTime::seconds(30.0));
-  EXPECT_TRUE(reported);
-  EXPECT_FALSE(success);
-  EXPECT_FALSE(f.nodes[subscriber]->on_tree(JoinOutageFixture::kGroup));
-}
-
-// With the default retry policy the same outage only delays the join: the
+// A 1.5 s total-loss outage during the join only delays it: the retry
 // backoff pushes a later attempt past the window's end and the subscriber
 // lands on the tree.
 TEST(Recovery, RetryLadderSurvivesDroppedJoinAck) {

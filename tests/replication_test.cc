@@ -1,8 +1,7 @@
-// Tests for backup-parent replication (the Section 6 reliability
-// extension) and the new SpanningTree reparent/in_subtree operations.
+// Tests for the deterministic rendezvous replica sets (the Section 6
+// reliability extension).
 #include <gtest/gtest.h>
 
-#include "core/middleware.h"
 #include "core/replication.h"
 #include "util/require.h"
 
@@ -10,215 +9,6 @@ namespace groupcast::core {
 namespace {
 
 using overlay::PeerId;
-
-// ------------------------------------------------ tree surgery primitives
-
-TEST(SpanningTreeSurgery, InSubtreeBasics) {
-  SpanningTree tree(0);
-  tree.attach(1, 0);
-  tree.attach(2, 1);
-  tree.attach(3, 0);
-  EXPECT_TRUE(tree.in_subtree(2, 1));
-  EXPECT_TRUE(tree.in_subtree(1, 1));
-  EXPECT_TRUE(tree.in_subtree(2, 0));
-  EXPECT_FALSE(tree.in_subtree(3, 1));
-  EXPECT_FALSE(tree.in_subtree(1, 2));
-}
-
-TEST(SpanningTreeSurgery, ReparentMovesSubtree) {
-  SpanningTree tree(0);
-  tree.attach(1, 0);
-  tree.attach(2, 1);
-  tree.attach(3, 2);
-  tree.attach(4, 0);
-  tree.reparent(2, 4);
-  EXPECT_EQ(tree.parent(2), 4u);
-  EXPECT_EQ(tree.parent(3), 2u);  // subtree moved intact
-  EXPECT_EQ(tree.depth(3), 3u);   // 0 -> 4 -> 2 -> 3
-  EXPECT_TRUE(tree.is_consistent());
-  EXPECT_TRUE(tree.children(1).empty());
-}
-
-TEST(SpanningTreeSurgery, ReparentRejectsCycles) {
-  SpanningTree tree(0);
-  tree.attach(1, 0);
-  tree.attach(2, 1);
-  EXPECT_THROW(tree.reparent(1, 2), PreconditionError);  // into own subtree
-  EXPECT_THROW(tree.reparent(0, 2), PreconditionError);  // root
-  EXPECT_THROW(tree.reparent(1, 9), PreconditionError);  // off tree
-}
-
-TEST(SpanningTreeSurgery, ReparentToSameParentIsNoOp) {
-  SpanningTree tree(0);
-  tree.attach(1, 0);
-  tree.reparent(1, 0);
-  EXPECT_EQ(tree.parent(1), 0u);
-  EXPECT_EQ(tree.children(0).size(), 1u);
-  EXPECT_TRUE(tree.is_consistent());
-}
-
-// ---------------------------------------------------- replicated failover
-
-struct ReplicationFixture {
-  GroupCastMiddleware middleware;
-  GroupHandle group;
-
-  explicit ReplicationFixture(std::uint64_t seed = 23)
-      : middleware([seed] {
-          MiddlewareConfig config;
-          config.peer_count = 300;
-          config.seed = seed;
-          return config;
-        }()),
-        group(middleware.establish_random_group(60)) {}
-};
-
-TEST(Replication, CoverageIsHighOnGroupCastOverlays) {
-  ReplicationFixture f;
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  // Most tree nodes have several advert-holding neighbours.
-  EXPECT_GT(replicated.coverage(), 0.6);
-}
-
-TEST(Replication, BackupDiffersFromPrimaryAndIsNeighbour) {
-  ReplicationFixture f(29);
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  for (const auto node : f.group.tree.nodes()) {
-    if (node == f.group.tree.root()) continue;
-    const auto backup = replicated.backup_parent(node);
-    if (!backup) continue;
-    EXPECT_NE(*backup, f.group.tree.parent(node));
-    EXPECT_TRUE(f.middleware.graph().connected(node, *backup));
-    EXPECT_TRUE(f.group.advert.received(*backup));
-  }
-}
-
-TEST(Replication, FailoverKeepsTreeConsistent) {
-  ReplicationFixture f(31);
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  // Fail the relay with the most children.
-  PeerId victim = overlay::kNoPeer;
-  std::size_t most = 0;
-  for (const auto node : f.group.tree.nodes()) {
-    if (node == f.group.tree.root()) continue;
-    if (f.group.tree.children(node).size() >= most) {
-      most = f.group.tree.children(node).size();
-      victim = node;
-    }
-  }
-  ASSERT_NE(victim, overlay::kNoPeer);
-  const auto report = replicated.failover(victim);
-  EXPECT_TRUE(f.group.tree.is_consistent());
-  EXPECT_FALSE(f.group.tree.contains(victim));
-  EXPECT_EQ(report.recovered_subscribers + report.lost_subscribers,
-            report.orphaned_subscribers);
-  EXPECT_EQ(report.failover_messages, report.switched_subtrees);
-}
-
-TEST(Replication, SimulateMatchesApply) {
-  ReplicationFixture f(37);
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  for (const auto node : f.group.tree.nodes()) {
-    if (node == f.group.tree.root()) continue;
-    if (f.group.tree.children(node).empty()) continue;
-    const auto simulated = replicated.simulate_failover(node);
-    const auto subscribers_before = f.group.tree.subscriber_count();
-    const bool victim_subscribed = f.group.tree.is_subscriber(node);
-    const auto applied = replicated.failover(node);
-    EXPECT_EQ(simulated.recovered_subscribers, applied.recovered_subscribers);
-    EXPECT_EQ(simulated.switched_subtrees, applied.switched_subtrees);
-    EXPECT_EQ(simulated.lost_subscribers, applied.lost_subscribers);
-    // Subscribers actually removed = lost + the crashed peer itself.
-    const auto removed = subscribers_before - f.group.tree.subscriber_count();
-    EXPECT_EQ(removed,
-              applied.lost_subscribers + (victim_subscribed ? 1u : 0u));
-    break;  // one application per fixture: the tree has changed
-  }
-}
-
-TEST(Replication, RecoveryBeatsUnreplicatedRepairOnMessages) {
-  // Instant failover costs one message per switched subtree; the repair
-  // path costs ripple searches + joins.  Compare on the same failure.
-  ReplicationFixture f(41);
-  // Copy the group for the repair arm.
-  auto repair_group = f.group;
-  // Victim: deepest relay with children.
-  PeerId victim = overlay::kNoPeer;
-  std::size_t best_depth = 0;
-  for (const auto node : f.group.tree.nodes()) {
-    if (node == f.group.tree.root()) continue;
-    if (f.group.tree.children(node).empty()) continue;
-    const auto d = f.group.tree.depth(node);
-    if (d >= best_depth) {
-      best_depth = d;
-      victim = node;
-    }
-  }
-  ASSERT_NE(victim, overlay::kNoPeer);
-
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  const auto fast = replicated.failover(victim);
-
-  const auto before = repair_group.stats.subscription_messages();
-  const auto slow = f.middleware.repair_after_failure(repair_group, victim);
-  const auto repair_messages =
-      repair_group.stats.subscription_messages() - before;
-
-  if (fast.switched_subtrees > 0 && slow.orphaned_subscribers > 0) {
-    // Per recovered subscriber, failover must not be more expensive.
-    const double fast_cost =
-        static_cast<double>(fast.failover_messages) /
-        std::max<std::size_t>(1, fast.recovered_subscribers);
-    const double slow_cost =
-        static_cast<double>(repair_messages) /
-        std::max<std::size_t>(1, slow.resubscribed);
-    EXPECT_LE(fast_cost, slow_cost + 1e-9);
-  }
-}
-
-TEST(Replication, RejectsRootFailure) {
-  ReplicationFixture f(43);
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  EXPECT_THROW(replicated.failover(f.group.tree.root()), PreconditionError);
-}
-
-TEST(Replication, CascadingFailuresKeepTreeConsistent) {
-  // Fail relays one after another, always picking the busiest surviving
-  // relay — including backups that just absorbed an orphaned subtree.
-  // Every intermediate tree must stay structurally consistent, and no
-  // failed peer may linger on it.
-  ReplicationFixture f(47);
-  ReplicatedTree replicated(f.middleware.population(), f.middleware.graph(),
-                            f.group.advert, f.group.tree);
-  std::vector<PeerId> failed;
-  for (int wave = 0; wave < 5; ++wave) {
-    PeerId victim = overlay::kNoPeer;
-    std::size_t most = 0;
-    for (const auto node : f.group.tree.nodes()) {
-      if (node == f.group.tree.root()) continue;
-      if (f.group.tree.children(node).size() >= most) {
-        most = f.group.tree.children(node).size();
-        victim = node;
-      }
-    }
-    if (victim == overlay::kNoPeer) break;
-    const auto report = replicated.failover(victim);
-    failed.push_back(victim);
-    ASSERT_TRUE(f.group.tree.is_consistent()) << "after wave " << wave;
-    for (const auto gone : failed) {
-      EXPECT_FALSE(f.group.tree.contains(gone));
-    }
-    EXPECT_EQ(report.recovered_subscribers + report.lost_subscribers,
-              report.orphaned_subscribers);
-  }
-  EXPECT_EQ(failed.size(), 5u);
-}
 
 // ---------------------------------------------------- replica-set hashing
 

@@ -16,6 +16,7 @@
 #include "metrics/experiment.h"
 #include "sim/shard_set.h"
 #include "test_helpers.h"
+#include "trace/counters.h"
 #include "trace/flight_recorder.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -191,6 +192,61 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
   EXPECT_GT(base.counters.total(trace::CounterId::kHeartbeats), 0u);
   EXPECT_DOUBLE_EQ(base.reattached_fraction, 1.0);
   EXPECT_DOUBLE_EQ(base.invariant_violations, 0.0);
+}
+
+// The two determinism domains differ only in the transport's loss draw and
+// enqueue, so on loss-free cells the single wheel and the sharded kernel
+// must agree on every outcome and on the message and counter accounts
+// (events_fired and queue_high_water are kernel bookkeeping and may not).
+void expect_same_outcome(const metrics::ScenarioResult& a,
+                         const metrics::ScenarioResult& b) {
+  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
+  EXPECT_EQ(a.reattached_fraction, b.reattached_fraction);
+  EXPECT_EQ(a.mean_orphan_epochs, b.mean_orphan_epochs);
+  EXPECT_EQ(a.epochs_to_converge, b.epochs_to_converge);
+  EXPECT_EQ(a.invariant_violations, b.invariant_violations);
+  EXPECT_EQ(a.subscription_success_rate, b.subscription_success_rate);
+  EXPECT_EQ(a.chunk_miss_ratio, b.chunk_miss_ratio);
+  EXPECT_EQ(a.startup_delay_ms, b.startup_delay_ms);
+  EXPECT_EQ(a.flash_attach_fraction, b.flash_attach_fraction);
+  EXPECT_EQ(a.advertisement_messages, b.advertisement_messages);
+  EXPECT_EQ(a.subscription_messages, b.subscription_messages);
+  EXPECT_EQ(a.counters.totals, b.counters.totals);
+}
+
+metrics::ScenarioResult run_with_counters(const metrics::ScenarioConfig& point) {
+  metrics::GridOptions options;
+  options.counters = true;
+  const std::vector<metrics::ScenarioConfig> points{point};
+  return metrics::run_scenario_grid(points, options).front();
+}
+
+TEST(ShardDeterminism, LossFreeRecoveryAgreesAcrossDomains) {
+  auto point = shard_point(1);
+  point.peer_count = 600;
+  point.recovery.loss_probability = 0.0;
+  const auto wheel = run_with_counters(point);
+  EXPECT_GT(wheel.counters.total(trace::CounterId::kMessagesSent), 0u);
+  for (const std::size_t shards : {2u, 4u}) {
+    point.shards = shards;
+    expect_same_outcome(wheel, run_with_counters(point));
+  }
+}
+
+TEST(ShardDeterminism, LossFreeFlashCrowdStreamAgreesAcrossDomains) {
+  metrics::ScenarioConfig point;
+  point.peer_count = 400;
+  point.groups = 1;
+  point.seed = 3;
+  point.streaming.enabled = true;
+  point.streaming.chunks = 20;
+  point.streaming.reliable_data = true;
+  point.streaming.flow_control = true;
+  point.streaming.flash_crowd_joins = 50;
+  const auto wheel = run_with_counters(point);
+  EXPECT_GT(wheel.counters.total(trace::CounterId::kChunksDelivered), 0u);
+  point.shards = 2;
+  expect_same_outcome(wheel, run_with_counters(point));
 }
 
 TEST(ShardDeterminism, ShardCountValidation) {
