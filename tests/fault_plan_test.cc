@@ -1,6 +1,7 @@
 // Tests for deterministic fault injection: the fault-plan grammar and
 // queries, the injector's crash scheduling, partition / burst-loss drops
-// at the transport, and the option-validation regressions that ride along
+// at the transport on both event kernels (the single wheel and a sharded
+// ShardSet), and the option-validation regressions that ride along
 // (ChurnOptions::failure_fraction, TransportOptions::loss_probability).
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "overlay/graph.h"
 #include "overlay/host_cache.h"
 #include "sim/fault_plan.h"
+#include "sim/shard_set.h"
 #include "test_helpers.h"
 #include "util/require.h"
 
@@ -166,6 +168,97 @@ TEST(FaultInjector, BurstLossDropsEverythingAtProbabilityOne) {
   // The in-window send died, the post-window one arrived.
   ASSERT_EQ(f.inbox.size(), 1u);
   EXPECT_EQ(f.transport.messages_lost(), 1u);
+}
+
+TEST(FaultInjector, ArmingTwiceIsRejected) {
+  TransportFixture f;
+  core::FaultInjector injector(FaultPlan::parse("crash@1s:3"), f.transport);
+  injector.arm(nullptr);
+  EXPECT_THROW(injector.arm(nullptr), PreconditionError);
+  f.simulator.run();
+  EXPECT_EQ(injector.crashed(), (std::vector<PeerId>{3}));
+}
+
+// --------------------------------------- the injector on a sharded kernel
+
+/// The TransportFixture over a ShardSet: every peer is registered, and
+/// each receiver records its inbox on its own shard.
+struct ShardedFixture {
+  testing::SmallWorld world;
+  sim::ShardSet shards;
+  Transport transport;
+  std::vector<std::vector<Envelope>> inbox;
+
+  ShardedFixture()
+      : world(48, 7),
+        shards(2, /*lookahead_us=*/300),
+        transport(shards, *world.population, TransportOptions{}, world.rng),
+        inbox(world.population->size()) {
+    for (PeerId p = 0; p < world.population->size(); ++p) {
+      transport.register_node(
+          p, [this, p](const Envelope& e) { inbox[p].push_back(e); });
+    }
+  }
+
+  /// Sends a heartbeat from `from` to `to` at `at`, on the sender's shard.
+  void send_at(SimTime at, PeerId from, PeerId to) {
+    transport.simulator_for(from).schedule_at(at, [this, from, to] {
+      transport.send(from, to, core::HeartbeatMsg{9});
+    });
+  }
+};
+
+// Each crash fires on its victim's own shard at the planned instant; the
+// crashed list comes back sorted by peer id rather than in firing order.
+TEST(FaultInjector, ShardedCrashesFireOnTheVictimsShard) {
+  ShardedFixture f;
+  core::FaultInjector injector(FaultPlan::parse("crash@1s:5; crash@2s:3"),
+                               f.transport);
+  std::vector<std::int64_t> fired_at(f.world.population->size(), -1);
+  injector.arm([&](PeerId victim) {
+    fired_at[victim] = f.transport.simulator_for(victim).now().as_micros();
+    f.transport.unregister_node(victim);
+  });
+  f.shards.run_until(SimTime::seconds(3.0));
+  EXPECT_EQ(fired_at[5], SimTime::seconds(1.0).as_micros());
+  EXPECT_EQ(fired_at[3], SimTime::seconds(2.0).as_micros());
+  EXPECT_EQ(injector.crashed(), (std::vector<PeerId>{3, 5}));
+  EXPECT_FALSE(f.transport.is_registered(5));
+  EXPECT_FALSE(f.transport.is_registered(3));
+}
+
+// arm() declares each crash to the sharded transport, so a victim's
+// message still in flight at its crash dies with it, like the single
+// wheel's generation check.
+TEST(FaultInjector, ShardedCrashSuppressesTheVictimsInFlightSends) {
+  ShardedFixture f;
+  core::FaultInjector injector(FaultPlan::parse("crash@1s:2"), f.transport);
+  injector.arm(nullptr);
+  const auto just_before =
+      SimTime::micros(SimTime::seconds(1.0).as_micros() - 1);
+  f.send_at(just_before, 2, 30);
+  f.send_at(just_before, 4, 30);
+  f.shards.run_until(SimTime::seconds(3.0));
+  ASSERT_EQ(f.inbox[30].size(), 1u);
+  EXPECT_EQ(f.inbox[30][0].from, 4u);
+}
+
+// Partition windows and burst loss act through the one admission step,
+// so they drop sends on a sharded transport exactly as on the wheel.
+TEST(FaultInjector, PartitionAndBurstActOnShardedTransport) {
+  ShardedFixture f;
+  core::FaultInjector injector(
+      FaultPlan::parse("partition@0s-1s:1|2; burst@2s-3s:1.0"), f.transport);
+  injector.arm(nullptr);
+  f.send_at(SimTime::seconds(0.5), 1, 2);  // cross-partition: dropped
+  f.send_at(SimTime::seconds(0.5), 1, 3);  // unaffected
+  f.send_at(SimTime::seconds(2.5), 1, 3);  // inside the burst: dropped
+  f.send_at(SimTime::seconds(3.5), 1, 2);  // both windows closed
+  f.shards.run_until(SimTime::seconds(5.0));
+  EXPECT_EQ(f.inbox[3].size(), 1u);
+  EXPECT_EQ(f.inbox[2].size(), 1u);
+  EXPECT_EQ(f.transport.messages_sent(), 4u);
+  EXPECT_EQ(f.transport.messages_lost(), 2u);
 }
 
 // ------------------------------------------------- transport crash semantics

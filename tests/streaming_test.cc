@@ -105,6 +105,25 @@ TEST(Streaming, BandwidthCapsAddDelayWithoutMisses) {
   EXPECT_GE(capped.startup_delay_ms, uncapped.startup_delay_ms);
 }
 
+// The message columns count advertisement and subscription sends per
+// kind; chunks, acks and heartbeats on the same transport are neither.
+TEST(Streaming, ReportsMessagesPerKind) {
+  auto point = streaming_point();
+  point.streaming.reliable_data = true;
+  point.streaming.flash_crowd_joins = 10;
+  metrics::GridOptions options;
+  options.counters = true;
+  const std::vector<metrics::ScenarioConfig> points{point};
+  const auto result = metrics::run_scenario_grid(points, options).front();
+  const auto sent = static_cast<double>(
+      result.counters.total(trace::CounterId::kMessagesSent));
+  EXPECT_GT(result.advertisement_messages, 0.0);
+  EXPECT_GT(result.subscription_messages, 0.0);
+  EXPECT_GT(result.counters.total(trace::CounterId::kChunksDelivered), 0u);
+  EXPECT_LT(result.advertisement_messages + result.subscription_messages,
+            sent);
+}
+
 std::vector<metrics::ScenarioConfig> multi_source_points() {
   std::vector<metrics::ScenarioConfig> points;
   for (const auto mode : {metrics::MultiSourceOptions::Mode::kSharedTree,
