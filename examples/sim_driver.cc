@@ -380,19 +380,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("GroupCast scenario: %zu peers, %s overlay, %s, %zu groups x "
-              "%zu subscribers, %zu topologies (seed %llu)\n",
-              config.peer_count, core::to_string(config.overlay),
-              core::to_string(config.scheme), config.groups,
-              config.effective_group_size(), topologies,
-              static_cast<unsigned long long>(config.seed));
-  std::printf("  messages/group: %.0f advertisement + %.0f subscription\n",
-              r.advertisement_messages, r.subscription_messages);
-  // The node-runtime harnesses (recovery, streaming) measure neither the
+  // The node-runtime harnesses (recovery, streaming) run their own groups
+  // — recovery one, streaming one shared tree or one tree per source —
+  // and count messages over the whole run.  They measure neither the
   // engines' receiving rate, lookup latency, stress and tree shape, nor
   // (streaming) the tree size: print only what the mode measured.
   const bool runtime_mode =
       config.recovery.enabled || config.streaming.enabled;
+  std::size_t groups_run = config.groups;
+  if (config.recovery.enabled) groups_run = 1;
+  if (config.streaming.enabled) {
+    groups_run = config.streaming.sources.mode ==
+                         metrics::MultiSourceOptions::Mode::kPerSourceTrees
+                     ? config.streaming.sources.publishers
+                     : 1;
+  }
+  std::printf("GroupCast scenario: %zu peers, %s overlay, %s, %zu groups x "
+              "%zu subscribers, %zu topologies (seed %llu)\n",
+              config.peer_count, core::to_string(config.overlay),
+              core::to_string(config.scheme), groups_run,
+              config.effective_group_size(), topologies,
+              static_cast<unsigned long long>(config.seed));
+  std::printf("  messages/%s: %.0f advertisement + %.0f subscription\n",
+              runtime_mode ? "run" : "group", r.advertisement_messages,
+              r.subscription_messages);
   if (runtime_mode) {
     std::printf("  subscription success %.1f%%\n",
                 100.0 * r.subscription_success_rate);

@@ -48,55 +48,6 @@ AdvertisementEngine::AdvertisementEngine(
   GC_REQUIRE(options_.ttl >= 1);
 }
 
-std::vector<overlay::PeerId> AdvertisementEngine::select_targets(
-    overlay::PeerId from, const std::vector<overlay::PeerId>& neighbors,
-    overlay::PeerId exclude) {
-  std::vector<overlay::PeerId> pool;
-  pool.reserve(neighbors.size());
-  for (const auto n : neighbors) {
-    if (n != exclude) pool.push_back(n);
-  }
-  if (pool.empty()) return pool;
-  if (options_.scheme == AnnouncementScheme::kNssa) return pool;
-
-  const auto want = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(options_.forward_fraction *
-                       static_cast<double>(pool.size()))));
-  if (want >= pool.size()) return pool;
-
-  if (options_.scheme == AnnouncementScheme::kSsaRandom) {
-    const auto idx = rng_.sample_indices(pool.size(), want);
-    std::vector<overlay::PeerId> out;
-    out.reserve(want);
-    for (const auto i : idx) out.push_back(pool[i]);
-    return out;
-  }
-
-  // kSsaUtility: weights proportional to the utility values of the
-  // neighbours as seen by the forwarding peer.
-  if (!resource_level_known_[from]) {
-    resource_level_[from] = clamp_resource_level(
-        options_.pinned_resource_level >= 0.0
-            ? options_.pinned_resource_level
-            : population_->sampled_resource_level(
-                  from, options_.resource_sample, rng_));
-    resource_level_known_[from] = 1;
-  }
-  std::vector<Candidate> candidates;
-  candidates.reserve(pool.size());
-  for (const auto n : pool) {
-    candidates.push_back(Candidate{population_->info(n).capacity,
-                                   population_->coord_distance_ms(from, n)});
-  }
-  const auto prefs = selection_preferences(resource_level_[from], candidates);
-  const auto idx = weighted_sample_without_replacement(prefs, want, rng_);
-  std::vector<overlay::PeerId> out;
-  out.reserve(idx.size());
-  for (const auto i : idx) out.push_back(pool[i]);
-  return out;
-}
-
 std::vector<overlay::PeerId> AdvertisementEngine::select_targets_cached(
     overlay::PeerId from, overlay::PeerId exclude) {
   NeighborCacheEntry& entry = neighbor_cache_[from];
@@ -131,9 +82,9 @@ std::vector<overlay::PeerId> AdvertisementEngine::select_targets_cached(
     return out;
   }
 
-  // kSsaUtility.  The resource-level memo goes first, exactly as in
-  // select_targets, so the RNG stream stays aligned with the uncached
-  // path; the candidate rows below draw no RNG.
+  // kSsaUtility.  The resource-level memo goes first and the candidate
+  // rows below draw no RNG, so the RNG stream position does not depend on
+  // whether the rows came from the cache.
   if (!resource_level_known_[from]) {
     resource_level_[from] = clamp_resource_level(
         options_.pinned_resource_level >= 0.0
@@ -155,7 +106,7 @@ std::vector<overlay::PeerId> AdvertisementEngine::select_targets_cached(
     trace::counters().incr(from, trace::CounterId::kUtilityCacheHits);
   }
   // Pool-aligned rows: skip the excluded neighbour in lockstep, giving
-  // the exact vector select_targets would have built.
+  // the exact vector a fresh evaluation over the pool would build.
   std::vector<Candidate> candidates;
   candidates.reserve(pool.size());
   for (std::size_t i = 0; i < entry.neighbors.size(); ++i) {

@@ -84,18 +84,12 @@ class AdvertisementEngine {
   const AdvertisementOptions& options() const { return options_; }
 
  private:
-  /// Picks the forwarding subset for `from` out of `neighbors`
-  /// (excluding `exclude`), per the configured scheme.
-  std::vector<overlay::PeerId> select_targets(
-      overlay::PeerId from, const std::vector<overlay::PeerId>& neighbors,
-      overlay::PeerId exclude);
-
-  /// Cached variant used by announce(): Nbr(from) and (for kSsaUtility)
-  /// its Eq. 1-5 Candidate rows are memoized per forwarder, revalidated
-  /// against the graph's neighbour generation.  Bit-identical to
-  /// select_targets over graph_->neighbors(from): the cache stores the
-  /// computed rows, draws no RNG while filling, and any neighbour
-  /// add/remove invalidates it — see docs/PERFORMANCE.md.
+  /// Picks the forwarding subset for `from` out of its neighbours
+  /// (excluding `exclude`), per the configured scheme.  Nbr(from) and
+  /// (for kSsaUtility) its Eq. 1-5 Candidate rows are memoized per
+  /// forwarder, revalidated against the graph's neighbour generation:
+  /// the cache stores the computed rows, draws no RNG while filling, and
+  /// any neighbour add/remove invalidates it — see docs/PERFORMANCE.md.
   std::vector<overlay::PeerId> select_targets_cached(overlay::PeerId from,
                                                      overlay::PeerId exclude);
 

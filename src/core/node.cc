@@ -33,6 +33,31 @@ void erase_value(std::vector<overlay::PeerId>& v, overlay::PeerId value) {
 /// open (bounds worst-case failure-detection latency).
 constexpr double kFalsePositiveTarget = 1e-4;
 constexpr std::size_t kMaxAdaptiveMisses = 12;
+
+/// Data-plane reliability timing (docs/ROBUSTNESS.md, "Data-plane
+/// reliability").  A detected gap waits kNackDelay (jittered by
+/// reliability.nack_jitter) before it is NACKed, which batches a burst of
+/// losses into one request; the same gap is not NACKed again for
+/// kNackRetryDelay, the suppression window while a retransmission is
+/// presumed in flight.  A sender with unacked data re-announces its next
+/// sequence every kProbeDelay (tail-loss probe) and gives the receiver up
+/// after kMaxProbeRounds silent rounds.
+constexpr sim::SimTime kNackDelay = sim::SimTime::millis(40);
+constexpr sim::SimTime kNackRetryDelay = sim::SimTime::millis(250);
+constexpr sim::SimTime kProbeDelay = sim::SimTime::millis(400);
+constexpr std::size_t kMaxProbeRounds = 6;
+
+/// Rendezvous replicas the subscription ladder tries when the rendezvous
+/// itself is unresponsive.  With replication on, the ladder covers at
+/// least the whole replica set, or an orphan could never reach the
+/// elected leaseholder.
+constexpr std::size_t kRendezvousReplicas = 2;
+
+/// How long a replica tolerates lease silence before proposing a
+/// takeover: four renewal intervals, enough retry headroom above one.
+sim::SimTime lease_duration(const ReplicationOptions& replication) {
+  return replication.lease_interval * 4;
+}
 }  // namespace
 
 GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
@@ -49,16 +74,11 @@ GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
   GC_REQUIRE(options_.missed_heartbeats_to_fail >= 1);
   GC_REQUIRE(options_.heartbeat_interval >= sim::SimTime::zero());
   if (options_.reliability.enabled) {
-    GC_REQUIRE(options_.reliability.nack_delay > sim::SimTime::zero());
-    GC_REQUIRE(options_.reliability.nack_retry_delay > sim::SimTime::zero());
-    GC_REQUIRE(options_.reliability.probe_delay > sim::SimTime::zero());
     GC_REQUIRE_MSG(options_.reliability.nack_jitter >= 0.0 &&
                        options_.reliability.nack_jitter <= 1.0,
                    "reliability.nack_jitter must be in [0, 1]");
     GC_REQUIRE_MSG(options_.reliability.max_nack_rounds >= 1,
                    "reliability.max_nack_rounds must be >= 1");
-    GC_REQUIRE_MSG(options_.reliability.max_probe_rounds >= 1,
-                   "reliability.max_probe_rounds must be >= 1");
     GC_REQUIRE(options_.reliability.send_buffer_cap >= 1);
     GC_REQUIRE_MSG(options_.reliability.ack_every >= 1,
                    "reliability.ack_every must be >= 1");
@@ -75,17 +95,13 @@ GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
                    "replication.replicas must be >= 1");
     GC_REQUIRE_MSG(options_.replication.lease_interval > sim::SimTime::zero(),
                    "replication.lease_interval must be positive");
-    GC_REQUIRE_MSG(
-        options_.replication.lease_duration >
-            options_.replication.lease_interval,
-        "replication.lease_duration must exceed the renewal interval");
     // The quorum-round exchange is constructed only behind the flag: its
     // construction splits rng_, which would shift every downstream draw of
     // a replication-off run.  Retries pace at the lease interval and stop
     // by the lease duration — a round still open then has lost its quorum.
     RetryPolicy lease_retry;
     lease_retry.base_timeout = options_.replication.lease_interval;
-    lease_retry.max_timeout = options_.replication.lease_duration;
+    lease_retry.max_timeout = lease_duration(options_.replication);
     repl_exchange_.emplace(transport.simulator_for(self), self, lease_retry, rng_);
   }
 }
@@ -591,9 +607,13 @@ void GroupCastNode::run_rung(GroupId group) {
               targets.push_back(st.rendezvous);
             }
             const auto population = transport_->population().size();
+            const std::size_t ladder_replicas =
+                options_.replication.enabled
+                    ? std::max(kRendezvousReplicas,
+                               options_.replication.replicas)
+                    : kRendezvousReplicas;
             const std::size_t replica_count =
-                std::min(options_.rendezvous_replicas,
-                         population > 0 ? population - 1 : 0);
+                std::min(ladder_replicas, population > 0 ? population - 1 : 0);
             // With replication on, skip replicas that have departed so the
             // round-robin lands on a live (possibly acting-root) member;
             // the filter stays off otherwise to preserve the legacy
@@ -936,58 +956,11 @@ void GroupCastNode::begin_recovery(GroupId group,
 // -------------------------------------------------------------- handlers
 
 void GroupCastNode::handle(const Envelope& envelope) {
-  std::visit(
-      [this, &envelope](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          handle_advertise(envelope, msg);
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          handle_join(envelope, msg);
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          handle_join_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          handle_ripple_query(envelope, msg);
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          handle_ripple_hit(envelope, msg);
-        } else if constexpr (std::is_same_v<T, DataMsg>) {
-          handle_data(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ChunkMsg>) {
-          handle_chunk(envelope, msg);
-        } else if constexpr (std::is_same_v<T, LeaveMsg>) {
-          handle_leave(envelope, msg);
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          handle_heartbeat(envelope, msg);
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          handle_heartbeat_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          handle_parent_lost(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ReliableDataMsg>) {
-          handle_reliable_data(envelope, msg);
-        } else if constexpr (std::is_same_v<T, DataNackMsg>) {
-          handle_data_nack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, DataAckMsg>) {
-          handle_data_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          handle_seq_sync(envelope, msg);
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          handle_flow_control(envelope, msg);
-        } else if constexpr (std::is_same_v<T, LeaseMsg>) {
-          handle_lease(envelope, msg);
-        } else if constexpr (std::is_same_v<T, LeaseAckMsg>) {
-          handle_lease_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          handle_replicate(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ReplicateAckMsg>) {
-          handle_replicate_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, HandoffMsg>) {
-          handle_handoff(envelope, msg);
-        }
-      },
-      envelope.body);
+  std::visit([this, &envelope](const auto& msg) { handle(envelope, msg); },
+             envelope.body);
 }
 
-void GroupCastNode::handle_advertise(const Envelope& envelope,
-                                     const AdvertiseMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const AdvertiseMsg& msg) {
   auto& state = state_of(msg.group);
   if (state.has_advert) {  // duplicate
     trace::counters().incr(self_, trace::CounterId::kMessagesDropped);
@@ -1012,8 +985,7 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_join(const Envelope& /*envelope*/,
-                                const JoinMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/, const JoinMsg& msg) {
   auto& state = state_of(msg.group);
   // A join can only be honoured by a peer that can reach the tree.
   if (!state.on_tree && !state.has_advert) return;  // stale join: ignored
@@ -1047,8 +1019,7 @@ void GroupCastNode::handle_join(const Envelope& /*envelope*/,
   if (state.exchange == ReliableExchange::kNoToken) start_ladder(msg.group);
 }
 
-void GroupCastNode::handle_join_ack(const Envelope& envelope,
-                                    const JoinAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const JoinAckMsg& msg) {
   auto& state = state_of(msg.group);
   if (state.on_tree) {
     if (envelope.from != state.tree_parent) {
@@ -1067,8 +1038,8 @@ void GroupCastNode::handle_join_ack(const Envelope& envelope,
   complete_attach(msg.group, envelope.from, msg.depth, msg.backup);
 }
 
-void GroupCastNode::handle_ripple_query(const Envelope& envelope,
-                                        const RippleQueryMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const RippleQueryMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.seen_queries.insert(query_key(msg.origin, msg.round))) {
     return;  // duplicate within this search round
@@ -1089,8 +1060,8 @@ void GroupCastNode::handle_ripple_query(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_ripple_hit(const Envelope& /*envelope*/,
-                                      const RippleHitMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/,
+                           const RippleHitMsg& msg) {
   auto& state = state_of(msg.group);
   if (state.on_tree) return;
   if (!state.search_pending) return;  // already joining via earlier hit
@@ -1101,8 +1072,7 @@ void GroupCastNode::handle_ripple_hit(const Envelope& /*envelope*/,
   transport_->send(self_, msg.holder, JoinMsg{msg.group, self_});
 }
 
-void GroupCastNode::handle_data(const Envelope& envelope,
-                                const DataMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const DataMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree) return;
   BufferedPayload payload;
@@ -1112,8 +1082,7 @@ void GroupCastNode::handle_data(const Envelope& envelope,
   deliver_payload(msg.group, state, envelope.from, payload);
 }
 
-void GroupCastNode::handle_chunk(const Envelope& envelope,
-                                 const ChunkMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const ChunkMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree) return;
   BufferedPayload payload;
@@ -1210,7 +1179,7 @@ void GroupCastNode::ewma_update(double& estimate, double sample) {
 }
 
 sim::SimTime GroupCastNode::nack_delay_for(const EdgeRx& rx) const {
-  const auto base = options_.reliability.nack_delay;
+  const auto base = kNackDelay;
   if (!options_.adaptive) return base;
   // The higher the measured loss, the more likely a gap is a real hole
   // rather than reordering in flight: shrink the batching delay, floored
@@ -1221,7 +1190,7 @@ sim::SimTime GroupCastNode::nack_delay_for(const EdgeRx& rx) const {
 }
 
 sim::SimTime GroupCastNode::nack_retry_for(const EdgeRx& rx) const {
-  const auto base = options_.reliability.nack_retry_delay;
+  const auto base = kNackRetryDelay;
   if (!options_.adaptive || rx.repair_ewma_us <= 0.0) return base;
   // Pace retries by the measured repair time (2x covers the NACK plus
   // retransmission round trip): never faster than the first-NACK delay,
@@ -1385,8 +1354,8 @@ void GroupCastNode::signal_upstream(GroupId group, GroupState& state,
   transport_->send(self_, state.tree_parent, FlowControlMsg{group, throttled});
 }
 
-void GroupCastNode::handle_flow_control(const Envelope& envelope,
-                                        const FlowControlMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const FlowControlMsg& msg) {
   if (!options_.reliability.enabled || !options_.reliability.flow_control) {
     return;
   }
@@ -1460,8 +1429,7 @@ void GroupCastNode::maybe_schedule_probe(GroupId group,
   tx.probe_rounds = 0;
   tx.acked_at_last_probe = tx.cum_acked;
   tx.probe_timer = simulator.schedule_timer(
-      jittered(options_.reliability.probe_delay,
-               options_.reliability.nack_jitter),
+      jittered(kProbeDelay, options_.reliability.nack_jitter),
       &probe_thunk, this, pack_edge(group, peer));
 }
 
@@ -1552,7 +1520,7 @@ void GroupCastNode::on_probe_timer(GroupId group, overlay::PeerId peer) {
     ++tx.probe_rounds;
   }
   tx.acked_at_last_probe = tx.cum_acked;
-  if (tx.probe_rounds > options_.reliability.max_probe_rounds) {
+  if (tx.probe_rounds > kMaxProbeRounds) {
     // Rounds of silence: the receiver is gone (heartbeats prune the tree
     // edge separately); stop holding its unacked tail.
     tx.buffer.clear();
@@ -1569,8 +1537,7 @@ void GroupCastNode::on_probe_timer(GroupId group, overlay::PeerId peer) {
       tx.buffer.empty() ? tx.next_seq : tx.buffer.front().seq;
   transport_->send(self_, peer, SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
   tx.probe_timer = transport_->simulator_for(self_).schedule_timer(
-      jittered(options_.reliability.probe_delay,
-               options_.reliability.nack_jitter),
+      jittered(kProbeDelay, options_.reliability.nack_jitter),
       &probe_thunk, this, pack_edge(group, peer));
 }
 
@@ -1592,8 +1559,8 @@ void GroupCastNode::drain_rx(GroupId group, GroupState& state,
   }
 }
 
-void GroupCastNode::handle_reliable_data(const Envelope& envelope,
-                                         const ReliableDataMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const ReliableDataMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree) return;
   BufferedPayload payload;
@@ -1664,8 +1631,7 @@ void GroupCastNode::accept_sequenced(const Envelope& envelope, GroupId group,
   maybe_schedule_nack(group, envelope.from, rx);
 }
 
-void GroupCastNode::handle_data_nack(const Envelope& envelope,
-                                     const DataNackMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const DataNackMsg& msg) {
   auto& state = state_of(msg.group);
   const auto it = state.tx_edges.find(envelope.from);
   if (it == state.tx_edges.end() || it->second.epoch != msg.epoch) {
@@ -1698,8 +1664,7 @@ void GroupCastNode::handle_data_nack(const Envelope& envelope,
   drain_tx(msg.group, state, envelope.from, tx);
 }
 
-void GroupCastNode::handle_data_ack(const Envelope& envelope,
-                                    const DataAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const DataAckMsg& msg) {
   auto& state = state_of(msg.group);
   const auto it = state.tx_edges.find(envelope.from);
   if (it == state.tx_edges.end() || it->second.epoch != msg.epoch) return;
@@ -1711,8 +1676,7 @@ void GroupCastNode::handle_data_ack(const Envelope& envelope,
   drain_tx(msg.group, state, envelope.from, tx);  // ack-clocked advancement
 }
 
-void GroupCastNode::handle_seq_sync(const Envelope& envelope,
-                                    const SeqSyncMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const SeqSyncMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree) return;
   auto& rx = state.rx_edges[envelope.from];
@@ -1760,8 +1724,7 @@ void GroupCastNode::handle_seq_sync(const Envelope& envelope,
                    DataAckMsg{msg.group, rx.epoch, rx.expected});
 }
 
-void GroupCastNode::handle_leave(const Envelope& /*envelope*/,
-                                 const LeaveMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/, const LeaveMsg& msg) {
   auto& state = state_of(msg.group);
   erase_value(state.children, msg.child);
   erase_value(state.pending_acks, msg.child);
@@ -1778,8 +1741,7 @@ void GroupCastNode::handle_leave(const Envelope& /*envelope*/,
   }
 }
 
-void GroupCastNode::handle_heartbeat(const Envelope& envelope,
-                                     const HeartbeatMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const HeartbeatMsg& msg) {
   auto& state = state_of(msg.group);
   const bool is_child =
       std::find(state.children.begin(), state.children.end(),
@@ -1800,8 +1762,8 @@ void GroupCastNode::handle_heartbeat(const Envelope& envelope,
                       offered_backup(state)});
 }
 
-void GroupCastNode::handle_heartbeat_ack(const Envelope& envelope,
-                                         const HeartbeatAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const HeartbeatAckMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree || envelope.from != state.tree_parent) return;
   state.parent_last_ack = now();
@@ -1813,8 +1775,7 @@ void GroupCastNode::handle_heartbeat_ack(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_parent_lost(const Envelope& envelope,
-                                       const ParentLostMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const ParentLostMsg& msg) {
   auto& state = state_of(msg.group);
   if (!state.on_tree || envelope.from != state.tree_parent) return;
   begin_recovery(msg.group, envelope.from);
@@ -1918,7 +1879,7 @@ void GroupCastNode::repl_tick(GroupId group) {
     const auto rank = static_cast<std::int64_t>(
         std::find(repl.members.begin(), repl.members.end(), self_) -
         repl.members.begin());
-    const auto patience = options_.replication.lease_duration +
+    const auto patience = lease_duration(options_.replication) +
                           options_.replication.lease_interval * rank;
     if (now() - repl.last_lease_seen > patience) {
       start_repl_round(group, /*handoff=*/true,
@@ -2144,8 +2105,7 @@ void GroupCastNode::root_self(GroupId group) {
   maybe_schedule_heartbeat(group);
 }
 
-void GroupCastNode::handle_lease(const Envelope& envelope,
-                                 const LeaseMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const LeaseMsg& msg) {
   if (!ensure_repl_member(msg.group, msg.rendezvous)) return;
   auto& repl = state_of(msg.group).repl;
   if (msg.epoch < repl.epoch) {
@@ -2166,8 +2126,7 @@ void GroupCastNode::handle_lease(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_lease_ack(const Envelope& envelope,
-                                     const LeaseAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const LeaseAckMsg& msg) {
   if (!options_.replication.enabled) return;
   auto& repl = state_of(msg.group).repl;
   if (!repl.member) return;
@@ -2175,8 +2134,7 @@ void GroupCastNode::handle_lease_ack(const Envelope& envelope,
   maybe_push_log(msg.group, envelope.from, msg.head_epoch, msg.log_size);
 }
 
-void GroupCastNode::handle_replicate(const Envelope& envelope,
-                                     const ReplicateMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const ReplicateMsg& msg) {
   if (!ensure_repl_member(msg.group, msg.rendezvous)) return;
   auto& repl = state_of(msg.group).repl;
   if (repl.round != ReliableExchange::kNoToken && repl.round_is_handoff &&
@@ -2208,8 +2166,8 @@ void GroupCastNode::handle_replicate(const Envelope& envelope,
                       static_cast<std::uint32_t>(repl.log.size())});
 }
 
-void GroupCastNode::handle_replicate_ack(const Envelope& envelope,
-                                         const ReplicateAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const ReplicateAckMsg& msg) {
   if (!options_.replication.enabled) return;
   auto& repl = state_of(msg.group).repl;
   if (!repl.member) return;
@@ -2217,8 +2175,7 @@ void GroupCastNode::handle_replicate_ack(const Envelope& envelope,
   maybe_push_log(msg.group, envelope.from, msg.head_epoch, msg.log_size);
 }
 
-void GroupCastNode::handle_handoff(const Envelope& envelope,
-                                   const HandoffMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const HandoffMsg& msg) {
   if (!ensure_repl_member(msg.group, msg.rendezvous)) return;
   if (msg.candidate != envelope.from) return;  // garbled proposal
   auto& repl = state_of(msg.group).repl;

@@ -48,13 +48,9 @@ inline constexpr std::uint32_t kUnknownDepth = 0xFFFFFFFFu;
 /// fire-and-forget DataMsg path, byte-identical to before.
 struct DataReliabilityOptions {
   bool enabled = false;
-  /// Delay before a detected gap is NACKed; batches a burst of losses
-  /// into one request.  Jittered by a uniform factor in [1, 1 + jitter)
-  /// drawn from the node's RNG stream (SRM-style desynchronization).
-  sim::SimTime nack_delay = sim::SimTime::millis(40);
-  /// Wait after a NACK before the same gap may be NACKed again — the
-  /// suppression window while a retransmission is presumed in flight.
-  sim::SimTime nack_retry_delay = sim::SimTime::millis(250);
+  /// Jitter of the NACK and probe timers (whose base delays are constants
+  /// in node.cc): a uniform factor in [1, 1 + jitter) drawn from the
+  /// node's RNG stream (SRM-style desynchronization).
   double nack_jitter = 0.5;
   /// NACK rounds without progress before the receiver skips the gap
   /// (the sender's buffer no longer holds it; waiting forever deadlocks).
@@ -64,11 +60,6 @@ struct DataReliabilityOptions {
   std::size_t send_buffer_cap = 128;
   /// Cumulative-ack cadence: one ack per this many in-order deliveries.
   std::size_t ack_every = 8;
-  /// Ack-overdue probe: how long the sender waits on unacked data before
-  /// re-announcing its next sequence (tail-loss detection), and how many
-  /// silent rounds before it gives the receiver up and drops the buffer.
-  sim::SimTime probe_delay = sim::SimTime::millis(400);
-  std::size_t max_probe_rounds = 6;
   /// Ack-clocked flow control (docs/ROBUSTNESS.md, "Flow control &
   /// adaptive detection"): at most `window` unacked sequences in flight
   /// per directed edge; further sends queue at the sender and drain as
@@ -98,11 +89,10 @@ struct ReplicationOptions {
   /// the default gives a 3-member set with majority 2).
   std::size_t replicas = 2;
   /// Leaseholder renewal period; also the stagger unit for takeover
-  /// candidates (member rank * interval) so proposals do not collide.
+  /// candidates (member rank * interval) so proposals do not collide.  A
+  /// member tolerates four intervals of lease silence before proposing a
+  /// takeover.
   sim::SimTime lease_interval = sim::SimTime::millis(500);
-  /// How long a member tolerates lease silence before proposing a
-  /// takeover.  Must exceed the renewal period by enough retry headroom.
-  sim::SimTime lease_duration = sim::SimTime::seconds(2.0);
 };
 
 struct NodeOptions {
@@ -113,8 +103,6 @@ struct NodeOptions {
   /// Per-attempt timeout / backoff / attempt budget of every control-plane
   /// exchange (one exchange per ladder rung).
   RetryPolicy retry;
-  /// Rendezvous replicas tried when the rendezvous itself is unresponsive.
-  std::size_t rendezvous_replicas = 2;
   /// Tree-edge heartbeat period; zero() disables liveness probing (the
   /// default, so `Simulator::run()` still drains in non-churn tests).
   sim::SimTime heartbeat_interval = sim::SimTime::zero();
@@ -436,36 +424,33 @@ class GroupCastNode {
   /// Shared teardown behind stop() / crash().
   void detach(DetachMode mode);
 
+  /// Delivery entry point: dispatches the envelope to the handler
+  /// overload for its message type.
   void handle(const Envelope& envelope);
-  void handle_advertise(const Envelope& envelope, const AdvertiseMsg& msg);
-  void handle_join(const Envelope& envelope, const JoinMsg& msg);
-  void handle_join_ack(const Envelope& envelope, const JoinAckMsg& msg);
-  void handle_ripple_query(const Envelope& envelope,
-                           const RippleQueryMsg& msg);
-  void handle_ripple_hit(const Envelope& envelope, const RippleHitMsg& msg);
-  void handle_data(const Envelope& envelope, const DataMsg& msg);
-  /// Chunk arrival: epoch 0 is the fire-and-forget path (mirrors
-  /// handle_data); epoch >= 1 joins the edge's sequenced stream exactly
+  void handle(const Envelope& envelope, const AdvertiseMsg& msg);
+  void handle(const Envelope& envelope, const JoinMsg& msg);
+  void handle(const Envelope& envelope, const JoinAckMsg& msg);
+  void handle(const Envelope& envelope, const RippleQueryMsg& msg);
+  void handle(const Envelope& envelope, const RippleHitMsg& msg);
+  void handle(const Envelope& envelope, const DataMsg& msg);
+  /// Chunk arrival: epoch 0 is the fire-and-forget path (mirrors the
+  /// DataMsg handler); epoch >= 1 joins the edge's sequenced stream exactly
   /// like ReliableDataMsg (reliable-edge epochs start at 1).
-  void handle_chunk(const Envelope& envelope, const ChunkMsg& msg);
-  void handle_leave(const Envelope& envelope, const LeaveMsg& msg);
-  void handle_heartbeat(const Envelope& envelope, const HeartbeatMsg& msg);
-  void handle_heartbeat_ack(const Envelope& envelope,
-                            const HeartbeatAckMsg& msg);
-  void handle_parent_lost(const Envelope& envelope, const ParentLostMsg& msg);
-  void handle_reliable_data(const Envelope& envelope,
-                            const ReliableDataMsg& msg);
-  void handle_data_nack(const Envelope& envelope, const DataNackMsg& msg);
-  void handle_data_ack(const Envelope& envelope, const DataAckMsg& msg);
-  void handle_seq_sync(const Envelope& envelope, const SeqSyncMsg& msg);
-  void handle_flow_control(const Envelope& envelope,
-                           const FlowControlMsg& msg);
-  void handle_lease(const Envelope& envelope, const LeaseMsg& msg);
-  void handle_lease_ack(const Envelope& envelope, const LeaseAckMsg& msg);
-  void handle_replicate(const Envelope& envelope, const ReplicateMsg& msg);
-  void handle_replicate_ack(const Envelope& envelope,
-                            const ReplicateAckMsg& msg);
-  void handle_handoff(const Envelope& envelope, const HandoffMsg& msg);
+  void handle(const Envelope& envelope, const ChunkMsg& msg);
+  void handle(const Envelope& envelope, const LeaveMsg& msg);
+  void handle(const Envelope& envelope, const HeartbeatMsg& msg);
+  void handle(const Envelope& envelope, const HeartbeatAckMsg& msg);
+  void handle(const Envelope& envelope, const ParentLostMsg& msg);
+  void handle(const Envelope& envelope, const ReliableDataMsg& msg);
+  void handle(const Envelope& envelope, const DataNackMsg& msg);
+  void handle(const Envelope& envelope, const DataAckMsg& msg);
+  void handle(const Envelope& envelope, const SeqSyncMsg& msg);
+  void handle(const Envelope& envelope, const FlowControlMsg& msg);
+  void handle(const Envelope& envelope, const LeaseMsg& msg);
+  void handle(const Envelope& envelope, const LeaseAckMsg& msg);
+  void handle(const Envelope& envelope, const ReplicateMsg& msg);
+  void handle(const Envelope& envelope, const ReplicateAckMsg& msg);
+  void handle(const Envelope& envelope, const HandoffMsg& msg);
 
   // --- reliable data plane ---
   /// Accepted payload (any path): dedup by (origin, id), deliver to the

@@ -140,40 +140,6 @@ bool Transport::is_registered(overlay::PeerId peer) const {
   return handlers_[peer] != nullptr;
 }
 
-MessageKind Transport::kind_of(const MessageBody& body) {
-  if (std::holds_alternative<AdvertiseMsg>(body)) {
-    return MessageKind::kAdvertisement;
-  }
-  if (std::holds_alternative<RippleQueryMsg>(body)) {
-    return MessageKind::kRippleSearch;
-  }
-  if (std::holds_alternative<RippleHitMsg>(body)) {
-    return MessageKind::kRippleResponse;
-  }
-  if (std::holds_alternative<JoinMsg>(body) ||
-      std::holds_alternative<LeaveMsg>(body)) {
-    return MessageKind::kSubscribeJoin;
-  }
-  if (std::holds_alternative<JoinAckMsg>(body)) {
-    return MessageKind::kSubscribeAck;
-  }
-  if (std::holds_alternative<HeartbeatMsg>(body) ||
-      std::holds_alternative<HeartbeatAckMsg>(body) ||
-      std::holds_alternative<ParentLostMsg>(body) ||
-      std::holds_alternative<DataNackMsg>(body) ||
-      std::holds_alternative<DataAckMsg>(body) ||
-      std::holds_alternative<SeqSyncMsg>(body) ||
-      std::holds_alternative<FlowControlMsg>(body) ||
-      std::holds_alternative<LeaseMsg>(body) ||
-      std::holds_alternative<LeaseAckMsg>(body) ||
-      std::holds_alternative<ReplicateMsg>(body) ||
-      std::holds_alternative<ReplicateAckMsg>(body) ||
-      std::holds_alternative<HandoffMsg>(body)) {
-    return MessageKind::kMaintenance;
-  }
-  return MessageKind::kPayload;
-}
-
 void Transport::send(overlay::PeerId from, overlay::PeerId to,
                      MessageBody body) {
   GC_REQUIRE(from < handlers_.size() && to < handlers_.size());

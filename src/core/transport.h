@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -24,25 +25,38 @@ namespace groupcast::core {
 using GroupId = std::uint32_t;
 
 // ---------------------------------------------------------------- payloads
+//
+// Each protocol message is declared once, here: its struct names the
+// MessageKind its sends are accounted under (`kind`) and lists its encoded
+// fields in wire order (`fields`).  The codec (core/wire.h), the
+// transport's per-kind accounts and the node's handler dispatch are all
+// derived from those two lines, so adding a message means writing its
+// struct, appending it to MessageBody and giving GroupCastNode a handler.
+// Members left out of `fields` never go on the wire.
 
 /// Group advertisement (SSA/NSSA), Section 2.2 step 2.
 struct AdvertiseMsg {
+  static constexpr MessageKind kind = MessageKind::kAdvertisement;
   GroupId group = 0;
   overlay::PeerId rendezvous = overlay::kNoPeer;
   std::uint32_t ttl = 0;
+  static auto fields(auto& m) { return std::tie(m.group, m.rendezvous, m.ttl); }
 };
 
 /// Join travelling in the reverse direction of the advertisement.
 struct JoinMsg {
+  static constexpr MessageKind kind = MessageKind::kSubscribeJoin;
   GroupId group = 0;
   /// The peer that wants to become a child of the receiver.
   overlay::PeerId child = overlay::kNoPeer;
+  static auto fields(auto& m) { return std::tie(m.group, m.child); }
 };
 
 /// Join confirmation from the attach point.  `depth` is the acker's tree
 /// depth (root = 0); the new child adopts depth + 1.  Orphans use it to
 /// refuse attach points inside their own subtree (see docs/ROBUSTNESS.md).
 struct JoinAckMsg {
+  static constexpr MessageKind kind = MessageKind::kSubscribeAck;
   GroupId group = 0;
   std::uint32_t depth = 0;
   // The acker's own tree parent (the new child's grandparent), offered as
@@ -51,28 +65,36 @@ struct JoinAckMsg {
   // wire-encoded, so byte accounting and the encoded format are unchanged
   // (a real deployment would piggyback it on the ack header).
   overlay::PeerId backup = overlay::kNoPeer;
+  static auto fields(auto& m) { return std::tie(m.group, m.depth); }
 };
 
 /// Scoped subscription lookup (ripple search), Section 2.2 step 3.
 /// `round` distinguishes re-searches by the same origin so duplicate
 /// suppression does not swallow retries.
 struct RippleQueryMsg {
+  static constexpr MessageKind kind = MessageKind::kRippleSearch;
   GroupId group = 0;
   overlay::PeerId origin = overlay::kNoPeer;
   std::uint32_t ttl = 0;
   std::uint32_t round = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.origin, m.ttl, m.round);
+  }
 };
 
 /// Lookup hit travelling back to the searcher; `depth` is the holder's
 /// tree depth (for the orphan cycle guard).
 struct RippleHitMsg {
+  static constexpr MessageKind kind = MessageKind::kRippleResponse;
   GroupId group = 0;
   overlay::PeerId holder = overlay::kNoPeer;
   std::uint32_t depth = 0;
+  static auto fields(auto& m) { return std::tie(m.group, m.holder, m.depth); }
 };
 
 /// Application payload on a tree edge.
 struct DataMsg {
+  static constexpr MessageKind kind = MessageKind::kPayload;
   GroupId group = 0;
   overlay::PeerId origin = overlay::kNoPeer;
   std::uint64_t payload_id = 0;
@@ -82,33 +104,44 @@ struct DataMsg {
   // encoded format are unchanged (a real deployment would fold it into
   // an existing header byte).
   std::uint32_t hops = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.origin, m.payload_id);
+  }
 };
 
 /// Leave notification from a child to its tree parent.
 struct LeaveMsg {
+  static constexpr MessageKind kind = MessageKind::kSubscribeJoin;
   GroupId group = 0;
   overlay::PeerId child = overlay::kNoPeer;
+  static auto fields(auto& m) { return std::tie(m.group, m.child); }
 };
 
 /// Tree-edge liveness probe from a child to its parent (Section 3.3's
 /// two-missed-heartbeat rule applied to SSA tree edges).
 struct HeartbeatMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
+  static auto fields(auto& m) { return std::tie(m.group); }
 };
 
 /// Parent's answer to a heartbeat, echoing its current tree depth so
 /// children keep their depth fresh for the orphan cycle guard.
 struct HeartbeatAckMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t depth = 0;
   // Backup attach target refresh (the parent's own parent); in-memory
   // only, like JoinAckMsg::backup.
   overlay::PeerId backup = overlay::kNoPeer;
+  static auto fields(auto& m) { return std::tie(m.group, m.depth); }
 };
 
 /// A node dissolving its tree position tells its children to re-attach.
 struct ParentLostMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
+  static auto fields(auto& m) { return std::tie(m.group); }
 };
 
 /// One chunk of a live stream on a tree edge (docs: EXPERIMENTS.md,
@@ -123,6 +156,7 @@ struct ParentLostMsg {
 /// `epoch`/`seq` carry the same per-edge sequencing as ReliableDataMsg;
 /// on the fire-and-forget path both stay 0 (edge epochs start at 1).
 struct ChunkMsg {
+  static constexpr MessageKind kind = MessageKind::kPayload;
   GroupId group = 0;
   overlay::PeerId origin = overlay::kNoPeer;
   std::uint32_t stream = 0;
@@ -134,6 +168,12 @@ struct ChunkMsg {
   // Hop depth on arrival; provenance metadata, not wire-encoded (see
   // DataMsg::hops).
   std::uint32_t hops = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.origin, m.stream, m.chunk_id, m.deadline_us,
+                    m.payload_bytes, m.epoch, m.seq);
+  }
+  /// The frame ends with a zero-padded body of this many bytes.
+  static constexpr auto padded_body = &ChunkMsg::payload_bytes;
 };
 
 // --- reliable data plane (docs/ROBUSTNESS.md, "Data-plane reliability") ---
@@ -143,6 +183,7 @@ struct ChunkMsg {
 /// every (re)attach of the edge); `seq` numbers payloads from 0 within
 /// the epoch, per directed edge.
 struct ReliableDataMsg {
+  static constexpr MessageKind kind = MessageKind::kPayload;
   GroupId group = 0;
   overlay::PeerId origin = overlay::kNoPeer;
   std::uint64_t payload_id = 0;
@@ -151,24 +192,35 @@ struct ReliableDataMsg {
   // Hop depth on arrival; provenance metadata, not wire-encoded (see
   // DataMsg::hops).
   std::uint32_t hops = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.origin, m.payload_id, m.epoch, m.seq);
+  }
 };
 
 /// Receiver-driven retransmit request for a batch of missing sequence
 /// numbers on one directed edge: bit i of `missing` set means sequence
 /// `base_seq + i` has not arrived (a 64-seq window per request).
 struct DataNackMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   std::uint64_t base_seq = 0;
   std::uint64_t missing = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.base_seq, m.missing);
+  }
 };
 
 /// Cumulative receiver acknowledgement: every sequence < `cumulative`
 /// arrived, so the sender may trim its retransmit buffer to that point.
 struct DataAckMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   std::uint64_t cumulative = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.cumulative);
+  }
 };
 
 /// Edge sequence announcement from the directed-edge sender: emitted when
@@ -180,10 +232,14 @@ struct DataAckMsg {
 /// a reattached child from NACK-storming into a dead incarnation — and
 /// answers with an ack, or a NACK when the window exposes a gap.
 struct SeqSyncMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   std::uint64_t base_seq = 0;
   std::uint64_t next_seq = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.base_seq, m.next_seq);
+  }
 };
 
 /// Backpressure notice travelling one hop against the data flow (child to
@@ -193,8 +249,10 @@ struct SeqSyncMsg {
 /// (DataReliabilityOptions::flow_control); a lost resume is healed by the
 /// sender's ack-overdue probe, which doubles as a throttle-release retry.
 struct FlowControlMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   bool throttled = false;
+  static auto fields(auto& m) { return std::tie(m.group, m.throttled); }
 };
 
 // --- rendezvous replication (docs/ROBUSTNESS.md, "Rendezvous replication
@@ -209,6 +267,7 @@ struct LeaseRecord {
   overlay::PeerId leader = overlay::kNoPeer;
 
   friend bool operator==(const LeaseRecord&, const LeaseRecord&) = default;
+  static auto fields(auto& m) { return std::tie(m.epoch, m.leader); }
 };
 
 /// Lease renewal broadcast from the current leaseholder to the other
@@ -216,10 +275,14 @@ struct LeaseRecord {
 /// member set is derived from it (`rendezvous_replicas`), so any receiver
 /// can verify its own membership without prior state.
 struct LeaseMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   overlay::PeerId leader = overlay::kNoPeer;
   overlay::PeerId rendezvous = overlay::kNoPeer;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.leader, m.rendezvous);
+  }
 };
 
 /// A member's answer to a LeaseMsg or HandoffMsg: it accepts `epoch`.
@@ -227,10 +290,14 @@ struct LeaseMsg {
 /// leaseholder can push a full ReplicateMsg when the member has diverged
 /// (anti-entropy on heal).
 struct LeaseAckMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   std::uint32_t head_epoch = 0;
   std::uint32_t log_size = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.head_epoch, m.log_size);
+  }
 };
 
 /// Replicated advert/leadership state push: the sender's full epoch log.
@@ -239,19 +306,27 @@ struct LeaseAckMsg {
 /// learns every record committed under earlier epochs — the Paxos
 /// prepare-phase read).
 struct ReplicateMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   overlay::PeerId leader = overlay::kNoPeer;
   overlay::PeerId rendezvous = overlay::kNoPeer;
   std::vector<LeaseRecord> records;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.leader, m.rendezvous, m.records);
+  }
 };
 
 /// Acknowledges a ReplicateMsg push; same log summary as LeaseAckMsg.
 struct ReplicateAckMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   std::uint32_t head_epoch = 0;
   std::uint32_t log_size = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.head_epoch, m.log_size);
+  }
 };
 
 /// Leadership takeover proposal from `candidate` for (monotonic) `epoch`.
@@ -259,10 +334,14 @@ struct ReplicateAckMsg {
 /// anything it already promised; the candidate commits on a majority of
 /// grants, which is what keeps a minority side from ever handing off.
 struct HandoffMsg {
+  static constexpr MessageKind kind = MessageKind::kMaintenance;
   GroupId group = 0;
   std::uint32_t epoch = 0;
   overlay::PeerId candidate = overlay::kNoPeer;
   overlay::PeerId rendezvous = overlay::kNoPeer;
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.epoch, m.candidate, m.rendezvous);
+  }
 };
 
 using MessageBody =
@@ -272,6 +351,16 @@ using MessageBody =
                  DataNackMsg, DataAckMsg, SeqSyncMsg, FlowControlMsg,
                  LeaseMsg, LeaseAckMsg, ReplicateMsg, ReplicateAckMsg,
                  HandoffMsg, ChunkMsg>;
+
+// A message's wire tag is its alternative index + 1, so alternatives are
+// append-only: never reorder or remove one.  Appending bumps this count;
+// tests/wire_test.cc pins the bytes of every tag.
+static_assert(std::variant_size_v<MessageBody> == 21);
+
+/// The kind a message's sends are accounted under (its type's `kind`).
+inline MessageKind kind_of(const MessageBody& body) {
+  return std::visit([](const auto& msg) { return msg.kind; }, body);
+}
 
 struct Envelope {
   overlay::PeerId from = overlay::kNoPeer;
@@ -391,8 +480,6 @@ class Transport final : public sim::ShardSet::Client {
   void set_fault_filter(const FaultFilter* filter) { fault_filter_ = filter; }
 
  private:
-  static MessageKind kind_of(const MessageBody& body);
-
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   /// One pooled in-flight message.  Delivery runs through the simulator's

@@ -1,5 +1,9 @@
 #include "core/wire.h"
 
+#include <tuple>
+#include <type_traits>
+#include <utility>
+
 namespace groupcast::core {
 
 namespace wire {
@@ -15,6 +19,8 @@ void Writer::u64(std::uint64_t v) {
     out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
+
+void Writer::zeros(std::size_t n) { out_->insert(out_->end(), n, 0); }
 
 void Reader::need(std::size_t n) const {
   if (buffer_.size() - at_ < n) throw WireError("truncated message");
@@ -52,35 +58,125 @@ void Reader::skip(std::size_t n) {
 
 namespace {
 
-// Wire tags.  Stable protocol constants: append only.
-enum class Tag : std::uint8_t {
-  kAdvertise = 1,
-  kJoin = 2,
-  kJoinAck = 3,
-  kRippleQuery = 4,
-  kRippleHit = 5,
-  kData = 6,
-  kLeave = 7,
-  kHeartbeat = 8,
-  kHeartbeatAck = 9,
-  kParentLost = 10,
-  kReliableData = 11,
-  kDataNack = 12,
-  kDataAck = 13,
-  kSeqSync = 14,
-  kFlowControl = 15,
-  kLease = 16,
-  kLeaseAck = 17,
-  kReplicate = 18,
-  kReplicateAck = 19,
-  kHandoff = 20,
-  kChunk = 21,
-};
-
 // A replication log grows by one record per committed handoff, so any
 // real log is tiny; the decode bound only protects against corrupt or
 // hostile frames claiming absurd lengths.
 constexpr std::uint32_t kMaxLeaseRecords = 1024;
+
+template <typename Msg>
+constexpr bool kHasPaddedBody = requires { Msg::padded_body; };
+
+// A field list (a tuple of references, from some `fields`) on the wire.
+template <typename Fields>
+std::size_t fields_size(const Fields& fields);
+template <typename Fields>
+void put_fields(wire::Writer& w, const Fields& fields);
+template <typename Fields>
+void get_fields(wire::Reader& r, const Fields& fields);
+
+// Field-type rules: every type a `fields` list may hold.
+template <typename F>
+std::size_t field_size(const F& field) {
+  if constexpr (std::is_same_v<F, bool>) {
+    return 1;
+  } else if constexpr (std::is_same_v<F, std::uint32_t>) {
+    return 4;
+  } else if constexpr (std::is_same_v<F, std::uint64_t> ||
+                       std::is_same_v<F, std::int64_t>) {
+    return 8;
+  } else {
+    static_assert(std::is_same_v<F, std::vector<LeaseRecord>>);
+    std::size_t size = 4;  // record count
+    for (const auto& record : field) {
+      size += fields_size(LeaseRecord::fields(record));
+    }
+    return size;
+  }
+}
+
+template <typename F>
+void put(wire::Writer& w, const F& field) {
+  if constexpr (std::is_same_v<F, bool>) {
+    w.u8(field ? 1 : 0);
+  } else if constexpr (std::is_same_v<F, std::uint32_t>) {
+    w.u32(field);
+  } else if constexpr (std::is_same_v<F, std::uint64_t> ||
+                       std::is_same_v<F, std::int64_t>) {
+    w.u64(static_cast<std::uint64_t>(field));
+  } else {
+    w.u32(static_cast<std::uint32_t>(field.size()));
+    for (const auto& record : field) {
+      put_fields(w, LeaseRecord::fields(record));
+    }
+  }
+}
+
+template <typename F>
+void get(wire::Reader& r, F& field) {
+  if constexpr (std::is_same_v<F, bool>) {
+    // Canonical bool: only 0/1 re-encode byte-identically, so anything
+    // else is a corrupt frame, not a truthy value.
+    const std::uint8_t v = r.u8();
+    if (v > 1) throw WireError("non-canonical bool");
+    field = v == 1;
+  } else if constexpr (std::is_same_v<F, std::uint32_t>) {
+    field = r.u32();
+  } else if constexpr (std::is_same_v<F, std::uint64_t> ||
+                       std::is_same_v<F, std::int64_t>) {
+    field = static_cast<F>(r.u64());
+  } else {
+    const std::uint32_t count = r.u32();
+    if (count > kMaxLeaseRecords) throw WireError("oversized lease log");
+    field.resize(count);
+    for (auto& record : field) get_fields(r, LeaseRecord::fields(record));
+  }
+}
+
+template <typename Fields>
+std::size_t fields_size(const Fields& fields) {
+  return std::apply(
+      [](const auto&... f) { return (std::size_t{0} + ... + field_size(f)); },
+      fields);
+}
+
+template <typename Fields>
+void put_fields(wire::Writer& w, const Fields& fields) {
+  std::apply([&w](const auto&... f) { (put(w, f), ...); }, fields);
+}
+
+template <typename Fields>
+void get_fields(wire::Reader& r, const Fields& fields) {
+  std::apply([&r](auto&... f) { (get(r, f), ...); }, fields);
+}
+
+template <typename Msg>
+std::size_t size_of(const Msg& msg) {
+  std::size_t size = 1 + fields_size(Msg::fields(msg));  // tag + fields
+  if constexpr (kHasPaddedBody<Msg>) size += msg.*Msg::padded_body;
+  return size;
+}
+
+template <typename Msg>
+MessageBody decode_as(wire::Reader& r) {
+  Msg msg;
+  get_fields(r, Msg::fields(msg));
+  if constexpr (kHasPaddedBody<Msg>) {
+    const std::uint32_t body_bytes = msg.*Msg::padded_body;
+    if (body_bytes > kMaxChunkBytes) throw WireError("oversized chunk body");
+    r.skip(body_bytes);
+  }
+  return msg;
+}
+
+/// Decodes the body of alternative `index` (the frame's tag - 1).
+template <std::size_t... I>
+MessageBody decode_alternative(std::size_t index, wire::Reader& r,
+                               std::index_sequence<I...>) {
+  using Decoder = MessageBody (*)(wire::Reader&);
+  static constexpr Decoder kDecoders[] = {
+      &decode_as<std::variant_alternative_t<I, MessageBody>>...};
+  return kDecoders[index](r);
+}
 
 }  // namespace
 
@@ -88,387 +184,34 @@ std::vector<std::uint8_t> encode_message(const MessageBody& body) {
   std::vector<std::uint8_t> out;
   out.reserve(encoded_size(body));
   wire::Writer w(out);
+  w.u8(static_cast<std::uint8_t>(body.index() + 1));
   std::visit(
       [&w](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kAdvertise));
-          w.u32(msg.group);
-          w.u32(msg.rendezvous);
-          w.u32(msg.ttl);
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kJoin));
-          w.u32(msg.group);
-          w.u32(msg.child);
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kJoinAck));
-          w.u32(msg.group);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kRippleQuery));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u32(msg.ttl);
-          w.u32(msg.round);
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kRippleHit));
-          w.u32(msg.group);
-          w.u32(msg.holder);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, DataMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kData));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u64(msg.payload_id);
-        } else if constexpr (std::is_same_v<T, LeaveMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLeave));
-          w.u32(msg.group);
-          w.u32(msg.child);
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-          w.u32(msg.group);
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHeartbeatAck));
-          w.u32(msg.group);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kParentLost));
-          w.u32(msg.group);
-        } else if constexpr (std::is_same_v<T, ReliableDataMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReliableData));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u64(msg.payload_id);
-          w.u32(msg.epoch);
-          w.u64(msg.seq);
-        } else if constexpr (std::is_same_v<T, DataNackMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kDataNack));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.base_seq);
-          w.u64(msg.missing);
-        } else if constexpr (std::is_same_v<T, DataAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kDataAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.cumulative);
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kSeqSync));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.base_seq);
-          w.u64(msg.next_seq);
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kFlowControl));
-          w.u32(msg.group);
-          w.u8(msg.throttled ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, LeaseMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLease));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.leader);
-          w.u32(msg.rendezvous);
-        } else if constexpr (std::is_same_v<T, LeaseAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLeaseAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.head_epoch);
-          w.u32(msg.log_size);
-        } else if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReplicate));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.leader);
-          w.u32(msg.rendezvous);
-          w.u32(static_cast<std::uint32_t>(msg.records.size()));
-          for (const auto& record : msg.records) {
-            w.u32(record.epoch);
-            w.u32(record.leader);
-          }
-        } else if constexpr (std::is_same_v<T, ReplicateAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReplicateAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.head_epoch);
-          w.u32(msg.log_size);
-        } else if constexpr (std::is_same_v<T, HandoffMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHandoff));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.candidate);
-          w.u32(msg.rendezvous);
-        } else if constexpr (std::is_same_v<T, ChunkMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kChunk));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u32(msg.stream);
-          w.u32(msg.chunk_id);
-          w.u64(static_cast<std::uint64_t>(msg.deadline_us));
-          w.u32(msg.payload_bytes);
-          w.u32(msg.epoch);
-          w.u64(msg.seq);
-          // The chunk body: the simulation carries no application bytes,
-          // so the frame pads with zeros — what matters is that the
-          // frame's length (and encoded_size) include them, which is how
-          // bandwidth pacing sees the stream as bytes/sec.
-          for (std::uint32_t i = 0; i < msg.payload_bytes; ++i) w.u8(0);
-        }
+        using Msg = std::decay_t<decltype(msg)>;
+        put_fields(w, Msg::fields(msg));
+        // The chunk body: the simulation carries no application bytes, so
+        // the frame pads with zeros — what matters is that the frame's
+        // length (and encoded_size) include them, which is how bandwidth
+        // pacing sees the stream as bytes/sec.
+        if constexpr (kHasPaddedBody<Msg>) w.zeros(msg.*Msg::padded_body);
       },
       body);
   return out;
 }
 
 std::size_t encoded_size(const MessageBody& body) {
-  return std::visit(
-      [](const auto& msg) -> std::size_t {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          return 1 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          return 1 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, DataMsg>) {
-          return 1 + 4 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          return 1 + 4;
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          return 1 + 4;
-        } else if constexpr (std::is_same_v<T, ReliableDataMsg>) {
-          return 1 + 4 + 4 + 8 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, DataNackMsg>) {
-          return 1 + 4 + 4 + 8 + 8;
-        } else if constexpr (std::is_same_v<T, DataAckMsg>) {
-          return 1 + 4 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          return 1 + 4 + 4 + 8 + 8;
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          return 1 + 4 + 1;
-        } else if constexpr (std::is_same_v<T, LeaseMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, LeaseAckMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          return 1 + 4 + 4 + 4 + 4 + 4 + msg.records.size() * (4 + 4);
-        } else if constexpr (std::is_same_v<T, ReplicateAckMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, HandoffMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ChunkMsg>) {
-          return 1 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 8 + msg.payload_bytes;
-        } else {
-          static_assert(std::is_same_v<T, LeaveMsg>);
-          return 1 + 4 + 4;
-        }
-      },
-      body);
+  return std::visit([](const auto& msg) { return size_of(msg); }, body);
 }
 
 MessageBody decode_message(std::span<const std::uint8_t> buffer) {
   wire::Reader r(buffer);
-  const auto tag = static_cast<Tag>(r.u8());
-  MessageBody body;
-  switch (tag) {
-    case Tag::kAdvertise: {
-      AdvertiseMsg msg;
-      msg.group = r.u32();
-      msg.rendezvous = r.u32();
-      msg.ttl = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kJoin: {
-      JoinMsg msg;
-      msg.group = r.u32();
-      msg.child = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kJoinAck: {
-      JoinAckMsg msg;
-      msg.group = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kRippleQuery: {
-      RippleQueryMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.ttl = r.u32();
-      msg.round = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kRippleHit: {
-      RippleHitMsg msg;
-      msg.group = r.u32();
-      msg.holder = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kData: {
-      DataMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.payload_id = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kLeave: {
-      LeaveMsg msg;
-      msg.group = r.u32();
-      msg.child = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHeartbeat: {
-      HeartbeatMsg msg;
-      msg.group = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHeartbeatAck: {
-      HeartbeatAckMsg msg;
-      msg.group = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kParentLost: {
-      ParentLostMsg msg;
-      msg.group = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kReliableData: {
-      ReliableDataMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.payload_id = r.u64();
-      msg.epoch = r.u32();
-      msg.seq = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kDataNack: {
-      DataNackMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.base_seq = r.u64();
-      msg.missing = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kDataAck: {
-      DataAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.cumulative = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kSeqSync: {
-      SeqSyncMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.base_seq = r.u64();
-      msg.next_seq = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kFlowControl: {
-      FlowControlMsg msg;
-      msg.group = r.u32();
-      // Canonical bool: only 0/1 re-encode byte-identically, so anything
-      // else is a corrupt frame, not a truthy value.
-      const std::uint8_t throttled = r.u8();
-      if (throttled > 1) throw WireError("non-canonical flow-control flag");
-      msg.throttled = throttled == 1;
-      body = msg;
-      break;
-    }
-    case Tag::kLease: {
-      LeaseMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.leader = r.u32();
-      msg.rendezvous = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kLeaseAck: {
-      LeaseAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.head_epoch = r.u32();
-      msg.log_size = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kReplicate: {
-      ReplicateMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.leader = r.u32();
-      msg.rendezvous = r.u32();
-      const std::uint32_t count = r.u32();
-      if (count > kMaxLeaseRecords) throw WireError("oversized lease log");
-      msg.records.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        LeaseRecord record;
-        record.epoch = r.u32();
-        record.leader = r.u32();
-        msg.records.push_back(record);
-      }
-      body = msg;
-      break;
-    }
-    case Tag::kReplicateAck: {
-      ReplicateAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.head_epoch = r.u32();
-      msg.log_size = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHandoff: {
-      HandoffMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.candidate = r.u32();
-      msg.rendezvous = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kChunk: {
-      ChunkMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.stream = r.u32();
-      msg.chunk_id = r.u32();
-      msg.deadline_us = static_cast<std::int64_t>(r.u64());
-      msg.payload_bytes = r.u32();
-      if (msg.payload_bytes > kMaxChunkBytes) {
-        throw WireError("oversized chunk body");
-      }
-      msg.epoch = r.u32();
-      msg.seq = r.u64();
-      r.skip(msg.payload_bytes);
-      body = msg;
-      break;
-    }
-    default:
-      throw WireError("unknown message tag");
+  const std::size_t tag = r.u8();
+  if (tag == 0 || tag > std::variant_size_v<MessageBody>) {
+    throw WireError("unknown message tag");
   }
+  MessageBody body = decode_alternative(
+      tag - 1, r,
+      std::make_index_sequence<std::variant_size_v<MessageBody>>{});
   if (!r.exhausted()) throw WireError("trailing bytes after message");
   return body;
 }

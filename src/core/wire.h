@@ -7,7 +7,15 @@
 // results can be read in bytes as well as counts — and the encode/decode
 // pair is the seam a socket-backed transport would use as-is.
 //
-// Layout: [1-byte tag][fixed-width fields in declaration order].
+// Layout: [1-byte tag][the message's `fields`, in list order], where the
+// tag is the message's MessageBody alternative index + 1 and the field
+// lists are declared with the structs in core/transport.h.  One codec
+// walks every list, with one rule per field type: u32/PeerId as 4 bytes,
+// u64 and the int64 chunk deadline as 8, a bool as one canonical byte
+// (0 or 1; anything else is rejected), and a lease-record log as a u32
+// count (bounded by kMaxLeaseRecords) followed by each record's fields.
+// ChunkMsg alone ends with a zero-padded body of `payload_bytes` bytes
+// (bounded by kMaxChunkBytes).
 #pragma once
 
 #include <cstdint>
@@ -50,6 +58,8 @@ class Writer {
   void u8(std::uint8_t v) { out_->push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
+  /// Appends `n` zero bytes (a chunk's padded body).
+  void zeros(std::size_t n);
 
  private:
   std::vector<std::uint8_t>* out_;

@@ -88,12 +88,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     node_options.replication.replicas = rec.replicas;
     node_options.replication.lease_interval =
         sim::SimTime::seconds(rec.lease_seconds);
-    node_options.replication.lease_duration =
-        sim::SimTime::seconds(rec.lease_seconds * 4.0);
-    // Ladder targeting must round-robin over at least the replica quorum,
-    // or an orphan could never reach the elected leaseholder.
-    node_options.rendezvous_replicas =
-        std::max(node_options.rendezvous_replicas, rec.replicas);
   }
   const sim::SimTime epoch = sim::SimTime::seconds(rec.epoch_seconds);
   detail::NodeRuntime runtime(

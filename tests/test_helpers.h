@@ -1,9 +1,12 @@
 // Shared fixtures for the GroupCast test suites: a small deterministic
-// underlay + population, and hand-built graphs with known properties.
+// underlay + population, hand-built graphs with known properties, and one
+// sample of every protocol message.
 #pragma once
 
 #include <memory>
+#include <vector>
 
+#include "core/transport.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "overlay/population.h"
@@ -52,6 +55,36 @@ inline net::UnderlayTopology line_topology(std::size_t routers,
                      static_cast<net::RouterId>(i + 1), hop_ms);
   }
   return std::move(builder).build();
+}
+
+/// One sample of every protocol message, in wire-tag order.  The chunk
+/// carries a small zero-padded body and the replication push a non-empty
+/// record log, so every field-type rule of the codec is exercised.
+inline std::vector<core::MessageBody> all_message_kinds() {
+  using namespace core;
+  return {
+      AdvertiseMsg{7, 42, 8},
+      JoinMsg{7, 1001},
+      JoinAckMsg{7, 3},
+      RippleQueryMsg{7, 2002, 2, 1},
+      RippleHitMsg{7, 3003, 4},
+      DataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL},
+      LeaveMsg{7, 5005},
+      HeartbeatMsg{7},
+      HeartbeatAckMsg{7, 2},
+      ParentLostMsg{7},
+      ReliableDataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL, 3, 99},
+      DataNackMsg{7, 3, 64, 0x8000000000000001ULL},
+      DataAckMsg{7, 3, 65},
+      SeqSyncMsg{7, 3, 12, 66},
+      FlowControlMsg{7, true},
+      LeaseMsg{7, 4, 6006, 1001},
+      LeaseAckMsg{7, 4, 4, 3},
+      ReplicateMsg{7, 4, 6006, 1001, {{1, 1001}, {2, 6006}, {4, 6006}}},
+      ReplicateAckMsg{7, 4, 4, 3},
+      HandoffMsg{7, 5, 7007, 1001},
+      ChunkMsg{7, 42, 3, 17, 123456789, 5, 2, 88},
+  };
 }
 
 }  // namespace groupcast::testing

@@ -2,37 +2,15 @@
 // rejection of malformed input.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/wire.h"
 #include "test_helpers.h"
 
 namespace groupcast::core {
 namespace {
 
-std::vector<MessageBody> all_message_kinds() {
-  return {
-      AdvertiseMsg{7, 42, 8},
-      JoinMsg{7, 1001},
-      JoinAckMsg{7, 3},
-      RippleQueryMsg{7, 2002, 2, 1},
-      RippleHitMsg{7, 3003, 4},
-      DataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL},
-      LeaveMsg{7, 5005},
-      HeartbeatMsg{7},
-      HeartbeatAckMsg{7, 2},
-      ParentLostMsg{7},
-      ReliableDataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL, 3, 99},
-      DataNackMsg{7, 3, 64, 0x8000000000000001ULL},
-      DataAckMsg{7, 3, 65},
-      SeqSyncMsg{7, 3, 12, 66},
-      FlowControlMsg{7, true},
-      LeaseMsg{7, 4, 6006, 1001},
-      LeaseAckMsg{7, 4, 4, 3},
-      ReplicateMsg{7, 4, 6006, 1001, {{1, 1001}, {2, 6006}, {4, 6006}}},
-      ReplicateAckMsg{7, 4, 4, 3},
-      HandoffMsg{7, 5, 7007, 1001},
-      ChunkMsg{7, 42, 3, 17, 123456789, 5, 2, 88},
-  };
-}
+using testing::all_message_kinds;
 
 TEST(Wire, RoundTripsEveryMessageKind) {
   for (const auto& original : all_message_kinds()) {
@@ -41,6 +19,51 @@ TEST(Wire, RoundTripsEveryMessageKind) {
     ASSERT_EQ(decoded.index(), original.index());
     // Re-encoding must be byte-identical (canonical encoding).
     EXPECT_EQ(encode_message(decoded), bytes);
+  }
+}
+
+TEST(Wire, EveryMessageKindEncodesToPinnedBytes) {
+  // Golden frames, one per wire tag (1 = Advertise ... 21 = Chunk): any
+  // change to a tag, a field's width or order, or the chunk padding
+  // breaks a deployed peer, so the exact bytes are pinned here.
+  const std::vector<std::string> golden{
+      "01070000002a00000008000000",
+      "0207000000e9030000",
+      "030700000003000000",
+      "0407000000d20700000200000001000000",
+      "0507000000bb0b000004000000",
+      "0607000000a40f00000df0fecaefbeadde",
+      "07070000008d130000",
+      "0807000000",
+      "090700000002000000",
+      "0a07000000",
+      "0b07000000a40f00000df0fecaefbeadde030000006300000000000000",
+      "0c070000000300000040000000000000000100000000000080",
+      "0d07000000030000004100000000000000",
+      "0e07000000030000000c000000000000004200000000000000",
+      "0f0700000001",
+      "10070000000400000076170000e9030000",
+      "1107000000040000000400000003000000",
+      // ReplicateMsg: header, record count 3, then (epoch, leader) pairs.
+      "12070000000400000076170000e903000003000000"
+      "01000000e903000002000000761700000400000076170000",
+      "1307000000040000000400000003000000",
+      "1407000000050000005f1b0000e9030000",
+      // ChunkMsg: header, then its 5-byte zero-padded body.
+      "15070000002a000000030000001100000015cd5b0700000000"
+      "05000000020000005800000000000000"
+      "0000000000",
+  };
+  const auto samples = all_message_kinds();
+  ASSERT_EQ(samples.size(), golden.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    std::string hex;
+    for (const auto b : encode_message(samples[i])) {
+      static constexpr char kDigits[] = "0123456789abcdef";
+      hex += kDigits[b >> 4];
+      hex += kDigits[b & 0xF];
+    }
+    EXPECT_EQ(hex, golden[i]) << "wire tag " << i + 1;
   }
 }
 
