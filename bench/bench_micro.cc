@@ -13,6 +13,7 @@
 #include "json_report.h"
 
 #include "baselines/chord.h"
+#include "coords/gnp.h"
 #include "core/advertisement.h"
 #include "core/middleware.h"
 #include "core/node.h"
@@ -139,6 +140,30 @@ void BM_ChordRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordRoute)->Arg(1000);
+
+void BM_GnpEmbedding(benchmark::State& state) {
+  // The world-build coordinate layer on its own: N hosts embedded against
+  // a fixed synthetic oracle (random points in the embedding space).
+  util::Rng points_rng(9);
+  std::vector<coords::Coord> truth(static_cast<std::size_t>(state.range(0)));
+  for (auto& c : truth) {
+    for (std::size_t d = 0; d < coords::kDims; ++d) {
+      c[d] = points_rng.uniform(0.0, 300.0);
+    }
+  }
+  const coords::LatencyOracle oracle = [&truth](std::size_t a,
+                                                std::size_t b) {
+    return truth[a].distance_to(truth[b]);
+  };
+  for (auto _ : state) {
+    util::Rng rng(10);
+    coords::GnpEmbedding gnp(truth.size(), oracle, rng);
+    benchmark::DoNotOptimize(gnp.coordinates().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GnpEmbedding)->Unit(benchmark::kMillisecond)->Arg(2000);
 
 // Fixed event-loop throughput probe behind --json_out: schedules `count`
 // events with randomized timestamps (a mix of the closure and the

@@ -426,11 +426,12 @@ int main(int argc, char** argv) {
   }
   if (config.recovery.enabled) {
     std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);
-    std::printf("  recovery: delivery %.1f%%, reattached %.1f%%, orphan "
-                "%.2f epochs, converged in %.1f, violations %.0f\n",
+    std::printf("  recovery: delivery %.1f%%, reattached %.1f%% (%.0f "
+                "stranded), orphan %.2f epochs, converged in %.1f, "
+                "violations %.0f\n",
                 100.0 * r.delivery_ratio, 100.0 * r.reattached_fraction,
-                r.mean_orphan_epochs, r.epochs_to_converge,
-                r.invariant_violations);
+                r.stranded_survivors, r.mean_orphan_epochs,
+                r.epochs_to_converge, r.invariant_violations);
     if (config.recovery.replication) {
       std::printf("  replication: handoffs %.1f, epoch conflicts %.1f\n",
                   r.lease_handoffs, r.epoch_conflicts);

@@ -62,10 +62,12 @@ stage_asan() {
   echo "stages.sh: all tests passed under ASan/UBSan"
 }
 
-# TSan: the grid/averaged runners and the tracing facilities are the only
-# code that touches threads; their tests run every parallel path
-# (jobs > 1).  Recovery and data-plane runs go through the same pool, so
-# their determinism/acceptance tests ride along here too.
+# TSan: the grid/averaged runners, the GNP host phase (both on
+# util::parallel_for) and the tracing facilities are the code that
+# touches threads; their tests run every parallel path (jobs > 1, and a
+# pinned GNP world large enough to start the pool).  Recovery and
+# data-plane runs go through the same pool, so their determinism/
+# acceptance tests ride along here too.
 stage_tsan() {
   local build_dir="${1:-${repo_root}/build-tsan}"
   cmake -B "${build_dir}" -S "${repo_root}" \
@@ -75,7 +77,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|NelderMead|ParallelFor'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 

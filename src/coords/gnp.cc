@@ -1,19 +1,22 @@
 #include "coords/gnp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <thread>
 
 #include "coords/nelder_mead.h"
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::coords {
 
 namespace {
 
-double noisy(double value, double noise, util::Rng& rng) {
-  if (noise <= 0.0) return value;
-  return value * rng.uniform(1.0 - noise, 1.0 + noise);
-}
+/// Hosts per worker thread in the host phase.  A solve takes tens of
+/// microseconds, so a grain amortizes a thread start many times over, and
+/// worlds below two grains (the small test worlds) run inline.
+constexpr std::size_t kHostGrain = 1024;
 
 /// Relative-error objective GNP minimizes: sum of ((est-real)/real)^2.
 double relative_error_sq(double estimated, double measured) {
@@ -39,9 +42,7 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
                                            std::vector<double>(n_landmarks));
   for (std::size_t i = 0; i < n_landmarks; ++i) {
     for (std::size_t j = i + 1; j < n_landmarks; ++j) {
-      const double d =
-          noisy(oracle(landmarks_[i], landmarks_[j]),
-                options.measurement_noise, rng);
+      const double d = oracle(landmarks_[i], landmarks_[j]);
       lm_dist[i][j] = lm_dist[j][i] = d;
     }
   }
@@ -92,17 +93,26 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
   std::vector<char> is_landmark(host_count, 0);
   for (const auto l : landmarks_) is_landmark[l] = 1;
 
+  // Every probe is taken here, on the calling thread and in host order,
+  // so the oracle is never shared between threads.
+  std::vector<double> probes(host_count * n_landmarks);
+  for (std::size_t host = 0; host < host_count; ++host) {
+    if (is_landmark[host]) continue;
+    for (std::size_t j = 0; j < n_landmarks; ++j) {
+      probes[host * n_landmarks + j] = oracle(host, landmarks_[j]);
+    }
+  }
+
+  // Each solve reads only the landmark coordinates and its own probe row
+  // and writes only coords_[host]: no RNG, no shared state, no reduction,
+  // so the coordinates do not depend on the thread count or the schedule.
   NelderMeadOptions nm;
   nm.max_iterations = options.host_nm_iterations;
   nm.initial_step = 40.0;
-  for (std::size_t host = 0; host < host_count; ++host) {
-    if (is_landmark[host]) continue;
-    std::vector<double> probes(n_landmarks);
-    for (std::size_t j = 0; j < n_landmarks; ++j) {
-      probes[j] =
-          noisy(oracle(host, landmarks_[j]), options.measurement_noise, rng);
-    }
-    const auto objective = [&](const std::vector<double>& x) {
+  const auto solve = [&](std::size_t host) {
+    if (is_landmark[host]) return;
+    const double* row = probes.data() + host * n_landmarks;
+    const auto objective = [&](const std::array<double, kDims>& x) {
       double total = 0.0;
       for (std::size_t j = 0; j < n_landmarks; ++j) {
         double acc = 0.0;
@@ -110,22 +120,22 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
           const double diff = x[d] - lm[j][d];
           acc += diff * diff;
         }
-        total += relative_error_sq(std::sqrt(acc), probes[j]);
+        total += relative_error_sq(std::sqrt(acc), row[j]);
       }
       return total;
     };
     // Start at the closest landmark's coordinate — a good initial guess.
     std::size_t nearest = 0;
     for (std::size_t j = 1; j < n_landmarks; ++j) {
-      if (probes[j] < probes[nearest]) nearest = j;
+      if (row[j] < row[nearest]) nearest = j;
     }
-    std::vector<double> start(kDims);
+    std::array<double, kDims> start;
     for (std::size_t d = 0; d < kDims; ++d) start[d] = lm[nearest][d];
-    const auto result = nelder_mead(objective, std::move(start), nm);
-    Coord c;
-    for (std::size_t d = 0; d < kDims; ++d) c[d] = result.x[d];
-    coords_[host] = c;
-  }
+    coords_[host] = Coord(nelder_mead(objective, start, nm).x);
+  };
+  const std::size_t jobs = std::min<std::size_t>(
+      std::thread::hardware_concurrency(), host_count / kHostGrain);
+  util::parallel_for(host_count, jobs, solve);
 }
 
 double GnpEmbedding::median_relative_error(const LatencyOracle& oracle,

@@ -1,16 +1,14 @@
 #include "metrics/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "metrics/recovery.h"
 #include "metrics/streaming.h"
 #include "trace/trace.h"
+#include "util/parallel.h"
 #include "util/require.h"
 #include "util/stats.h"
 
@@ -199,6 +197,7 @@ ScenarioResult reduce_scenario_repetitions(
     total.overload_index += one.overload_index / k;
     total.delivery_ratio += one.delivery_ratio / k;
     total.reattached_fraction += one.reattached_fraction / k;
+    total.stranded_survivors += one.stranded_survivors / k;
     total.mean_orphan_epochs += one.mean_orphan_epochs / k;
     total.epochs_to_converge += one.epochs_to_converge / k;
     total.control_overhead += one.control_overhead / k;
@@ -268,46 +267,13 @@ std::vector<ScenarioResult> run_scenario_grid(
   }
   attach_shared_worlds(item_configs);
 
-  auto run_item = [&](std::size_t i) {
+  const std::size_t jobs = options.jobs != 0
+                               ? options.jobs
+                               : std::thread::hardware_concurrency();
+  // Every result slot is written by exactly one item.
+  util::parallel_for(items, jobs, [&](std::size_t i) {
     runs[i] = run_repetition(item_configs[i], options);
-  };
-
-  std::size_t jobs = options.jobs;
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  jobs = std::min(jobs, items);
-
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < items; ++i) run_item(i);
-  } else {
-    // Self-scheduling pool: an atomic ticket is the only shared mutable
-    // word; every result slot is written by exactly one worker.
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= items) return;
-          try {
-            run_item(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-            // Drain remaining tickets so the pool winds down quickly.
-            next.store(items, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  });
 
   std::vector<ScenarioResult> reduced;
   reduced.reserve(points.size());

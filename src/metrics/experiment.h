@@ -230,6 +230,9 @@ struct ScenarioResult {
   // config.recovery.enabled; all zero otherwise.
   double delivery_ratio = 0.0;        // post-churn speaking round
   double reattached_fraction = 0.0;   // surviving subscribers back on tree
+  double stranded_survivors = 0.0;    // survivors cut off from the root at
+                                      // the end (the rounded fraction
+                                      // above hides a single one)
   double mean_orphan_epochs = 0.0;    // mean epochs orphans stayed cut off
   double epochs_to_converge = 0.0;    // convergence_epochs if never
   double control_overhead = 0.0;      // recovery-window msgs / survivor

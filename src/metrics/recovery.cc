@@ -467,6 +467,8 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
   result.invariant_violations +=
       static_cast<double>(report.violations.size());
+  result.stranded_survivors =
+      static_cast<double>(report.stranded_subscribers);
   result.avg_tree_nodes = static_cast<double>(report.tree_nodes);
 
   // Reuse the engine-level fields that still make sense here so grid

@@ -1,9 +1,17 @@
-// Unit tests for util: RNG determinism and statistics, distributions.
+// Unit tests for util: RNG determinism and statistics, distributions,
+// the parallel_for worker pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/distributions.h"
+#include "util/parallel.h"
 #include "util/require.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -297,6 +305,56 @@ TEST(Require, MacrosThrowTypedErrors) {
   EXPECT_THROW(GC_ENSURE(false), InvariantError);
   EXPECT_NO_THROW(GC_REQUIRE(true));
   EXPECT_NO_THROW(GC_ENSURE(true));
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  // 1023 is one short of the GNP host grain; 10000 spans many tickets.
+  for (const std::size_t n : {0u, 1u, 1023u, 10000u}) {
+    for (const std::size_t jobs : {1u, 4u}) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(n, jobs, [&](std::size_t i) { runs[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "n=" << n << " jobs=" << jobs
+                                     << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsTheWorkerException) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    try {
+      parallel_for(1000, jobs, [](std::size_t i) {
+        if (i == 7) throw std::runtime_error("item 7");
+      });
+      FAIL() << "no exception reached the caller (jobs=" << jobs << ")";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "item 7");
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallRunsInlineOnTheWorker) {
+  const auto caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::vector<std::thread::id> outer(4);
+  std::vector<bool> inline_inner(4, false);
+  parallel_for(4, 4, [&](std::size_t i) {
+    const auto worker = std::this_thread::get_id();
+    std::vector<std::thread::id> inner(8);
+    parallel_for(8, 4, [&](std::size_t k) {
+      inner[k] = std::this_thread::get_id();
+    });
+    bool all_here = true;
+    for (const auto id : inner) all_here = all_here && id == worker;
+    std::lock_guard<std::mutex> lock(mutex);
+    outer[i] = worker;
+    inline_inner[i] = all_here;
+  });
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(outer[i], caller) << "outer item " << i << " ran inline";
+    EXPECT_TRUE(inline_inner[i]) << "outer item " << i;
+  }
 }
 
 }  // namespace
