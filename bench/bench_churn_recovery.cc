@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
   // Slow-child cells: every fifth subscriber acks at a tenth of the
   // normal cadence, starving its parent's ack clock.  Run once without
   // flow control (the sender buffer backs up to the cap) and once with
-  // flow control + adaptive detection (the backlog parks behind the
-  // window instead).  Static labels: `cells` keeps raw Churn pointers,
-  // so these must not live in the reallocating `churns` vector.
+  // flow control (the backlog parks behind the window instead).  Static
+  // labels: `cells` keeps raw Churn pointers, so these must not live in
+  // the reallocating `churns` vector.
   static const Churn kSlowChild{0.0, 0.0, "slow child (1-in-5)"};
   static const Churn kSlowChildFlow{0.0, 0.0, "slow child + flow control"};
   for (const bool flow : {false, true}) {
@@ -102,7 +102,6 @@ int main(int argc, char** argv) {
     // A window narrower than the speaking round, so the slow children's
     // edges actually block and the throttle path shows up in the cell.
     config.recovery.flow_window = 8;
-    config.recovery.adaptive = flow;
     points.push_back(config);
   }
 

@@ -7,6 +7,7 @@
 
 #include "core/advertisement.h"
 #include "core/middleware.h"
+#include "core/node.h"
 #include "trace/counters.h"
 
 namespace groupcast::bench {
@@ -191,11 +192,10 @@ void fill_scenario_cell(JsonObject& cell,
                  r.counters.total(trace::CounterId::kDupsSuppressed))
         .integer("send_buffer_high_water",
                  r.counters.total(trace::CounterId::kSendBufferHighWater));
-    if (r.config.recovery.flow_control || r.config.recovery.adaptive) {
-      // Self-tuning transport cells only: absent fields keep the legacy
-      // cells byte-identical to reports from before these flags existed.
+    if (r.config.recovery.flow_control) {
+      // Flow-control cells only: absent fields keep the legacy cells
+      // byte-identical to reports from before the flag existed.
       cell.boolean("flow_control", r.config.recovery.flow_control)
-          .boolean("adaptive", r.config.recovery.adaptive)
           .integer("flow_blocked",
                    r.counters.total(trace::CounterId::kFlowBlocked))
           .integer("flow_throttles",
@@ -204,7 +204,7 @@ void fill_scenario_cell(JsonObject& cell,
     if (r.config.recovery.replication) {
       // Replicated-rendezvous cells only, same byte-identity rule.
       cell.integer("replicas", r.config.recovery.replicas)
-          .number("lease_seconds", r.config.recovery.lease_seconds)
+          .number("lease_seconds", core::kLeaseInterval.as_seconds())
           .number("partition_seconds", r.config.recovery.partition_seconds)
           .number("lease_handoffs", r.lease_handoffs)
           .number("epoch_conflicts", r.epoch_conflicts)

@@ -82,20 +82,15 @@ int main(int argc, char** argv) {
   flags.declare("window",
                 "recovery: sender window per reliable edge, in sequences",
                 "32");
-  flags.declare("adaptive",
-                "recovery: adaptive failure detection and NACK cadence",
-                "false");
   flags.declare("replicas",
                 "recovery: rendezvous replica-set size; > 0 enables leased "
                 "leadership and quorum handoff",
                 "0");
-  flags.declare("lease-ms",
-                "recovery: lease renewal interval in milliseconds "
-                "(requires --replicas)",
-                "500");
   flags.declare("partition",
                 "recovery: cut the rendezvous-side subtree off for this "
-                "many seconds mid-run (requires --replicas)",
+                "many seconds mid-run (requires --replicas); delivery is "
+                "probed at 0.8 x the window, so a short window measures "
+                "the failover transient",
                 "0");
   flags.declare("shards",
                 "recovery/streaming: worker shards for the event kernel "
@@ -104,8 +99,8 @@ int main(int argc, char** argv) {
                 "1");
   flags.declare("streaming",
                 "run the live-streaming workload harness instead of the "
-                "engine pipeline (--loss/--reliable/--flow-control/"
-                "--adaptive ride along)",
+                "engine pipeline (--loss/--reliable/--flow-control ride "
+                "along)",
                 "false");
   flags.declare("chunks", "streaming: chunks per publisher", "50");
   flags.declare("chunk-interval-ms", "streaming: publisher cadence", "100");
@@ -170,13 +165,11 @@ int main(int argc, char** argv) {
   config.recovery.flow_control = flags.get_bool("flow-control");
   config.recovery.flow_window =
       static_cast<std::size_t>(flags.get_int("window"));
-  config.recovery.adaptive = flags.get_bool("adaptive");
   const auto replicas =
       static_cast<std::size_t>(std::max<std::int64_t>(0,
                                                       flags.get_int("replicas")));
   config.recovery.replication = replicas > 0;
   if (replicas > 0) config.recovery.replicas = replicas;
-  config.recovery.lease_seconds = flags.get_double("lease-ms") / 1000.0;
   config.recovery.partition_seconds = flags.get_double("partition");
   config.streaming.enabled = flags.get_bool("streaming");
   if (config.recovery.enabled && config.streaming.enabled) {
@@ -187,11 +180,10 @@ int main(int argc, char** argv) {
   }
   if (config.streaming.enabled) {
     // The node-runtime riders migrate over: the streaming harness shares
-    // the loss / reliability / flow-control / adaptive knobs.
+    // the loss / reliability / flow-control knobs.
     config.streaming.loss_probability = config.recovery.loss_probability;
     config.streaming.reliable_data = config.recovery.reliable_data;
     config.streaming.flow_control = config.recovery.flow_control;
-    config.streaming.adaptive = config.recovery.adaptive;
     config.streaming.chunks =
         static_cast<std::size_t>(flags.get_int("chunks"));
     config.streaming.chunk_interval_seconds =
@@ -262,7 +254,6 @@ int main(int argc, char** argv) {
       if (config.recovery.loss_probability != 0.0) stray = "--loss";
       if (config.recovery.reliable_data) stray = "--reliable";
       if (config.recovery.flow_control) stray = "--flow-control";
-      if (config.recovery.adaptive) stray = "--adaptive";
     }
     if (config.recovery.crash_fraction != 0.0) stray = "--crash";
     if (config.recovery.graceful_fraction != 0.0) stray = "--graceful";
@@ -291,12 +282,6 @@ int main(int argc, char** argv) {
                  "sim_driver: --partition requires --replicas (without a "
                  "replica set the minority side has no rendezvous to fail "
                  "over to)\n");
-    return 2;
-  }
-  if (config.recovery.replication && config.recovery.lease_seconds <= 0.0) {
-    std::fprintf(stderr,
-                 "sim_driver: --lease-ms must be positive when --replicas "
-                 "is set\n");
     return 2;
   }
   const std::int64_t shards_raw = flags.get_int("shards");
@@ -436,8 +421,13 @@ int main(int argc, char** argv) {
       std::printf("  replication: handoffs %.1f, epoch conflicts %.1f\n",
                   r.lease_handoffs, r.epoch_conflicts);
       if (config.recovery.partition_seconds > 0.0) {
-        std::printf("  partition: majority delivery %.1f%%, minority "
-                    "delivery %.1f%%\n",
+        // Name the probe instant, so a short cut reads as the failover
+        // transient it measures.
+        std::printf("  partition probe at %.1f s of a %.1f s cut: majority "
+                    "delivery %.1f%%, minority delivery %.1f%%\n",
+                    metrics::kPartitionProbeAt *
+                        config.recovery.partition_seconds,
+                    config.recovery.partition_seconds,
                     100.0 * r.partition_majority_delivery,
                     100.0 * r.partition_minority_delivery);
       }

@@ -18,12 +18,15 @@
 #  4c. streaming: the live-streaming sweep (bench_streaming) byte-compared
 #            across --jobs, plus a pinned miss-ratio / flash-crowd
 #            acceptance run at 5% loss with the reliable data plane.
+#  4d. perfbench: the standalone end-to-end benchmark (perfbench/) built
+#            from its own CMake project, one round of every workload.
 #  5. lint:  clang-format --dry-run --Werror plus clang-tidy on src/core —
 #            skipped with a notice when the binaries are not installed
 #            (CI always runs them).
 #
 # Usage: scripts/check.sh [asan-build-dir] [tsan-build-dir] [perf-build-dir]
-#        (defaults: build-asan, build-tsan, build-perf)
+#        [perfbench-build-dir]
+#        (defaults: build-asan, build-tsan, build-perf, build-perfbench)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -31,6 +34,7 @@ stages="${repo_root}/scripts/stages.sh"
 build_dir="${1:-${repo_root}/build-asan}"
 tsan_build_dir="${2:-${repo_root}/build-tsan}"
 perf_build_dir="${3:-${repo_root}/build-perf}"
+perfbench_build_dir="${4:-${repo_root}/build-perfbench}"
 
 # Fail loudly up front instead of letting a stage silently no-op: every
 # stage's own binaries are guarded by require_binary inside stages.sh,
@@ -46,6 +50,7 @@ fi
 "${stages}" perf "${perf_build_dir}"
 "${stages}" trace "${perf_build_dir}"
 "${stages}" streaming "${perf_build_dir}"
+"${stages}" perfbench "${perfbench_build_dir}"
 
 if command -v clang-format > /dev/null; then
   "${stages}" lint-format

@@ -17,6 +17,8 @@
 #   scripts/stages.sh streaming [build-dir]  # Release streaming sweep,
 #                                         # --jobs byte-compared, pinned
 #                                         # miss-ratio / flash acceptance
+#   scripts/stages.sh perfbench [build-dir]  # standalone perfbench build,
+#                                         # one round of every workload
 #   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 2/4/8
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
 #   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps + perf gate
@@ -24,7 +26,7 @@
 #   scripts/stages.sh lint-tidy [build-dir]  # clang-tidy over src/core
 #
 # Sanitizer trees default to build-asan / build-tsan / build-perf /
-# build-tidy next to the repo root.  Every stage is independent; check.sh
+# build-perfbench / build-tidy next to the repo root.  Every stage is independent; check.sh
 # chains them, CI fans them out across matrix jobs.
 set -euo pipefail
 
@@ -101,7 +103,9 @@ stage_fault() {
   partition_out="$("${build_dir}/examples/sim_driver" --peers=300 \
     --groups=1 --seed=1 --recovery=true --crash=0.1 --replicas=3 \
     --partition=30)"
-  grep -q "partition: majority delivery 100.0%, minority delivery 100.0%" \
+  grep -q "partition probe at 24.0 s of a 30.0 s cut: majority delivery" \
+    <<< "${partition_out}"
+  grep -q "majority delivery 100.0%, minority delivery 100.0%" \
     <<< "${partition_out}"
   grep -q "epoch conflicts 0.0" <<< "${partition_out}"
   grep -q "violations 0" <<< "${partition_out}"
@@ -220,6 +224,28 @@ stage_streaming() {
     "ratio pinned under 5% at 5% loss; flash crowd fully attached)"
 }
 
+# End-to-end benchmark program: perfbench/ is a standalone CMake project
+# that compiles ../src itself, so no other stage (and no tier-1 test)
+# builds it, and a src/ API change could break the benchmark with every
+# other check green.  Configure and build it into its own tree, then run
+# one untraced round of each workload; each must exit 0 and pass its
+# output checks.
+stage_perfbench() {
+  local build_dir="${1:-${repo_root}/build-perfbench}"
+  cmake -B "${build_dir}" -S "${repo_root}/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${build_dir}" -j "${jobs}"
+  require_binary "${build_dir}/groupcast_perfbench"
+  local workload out
+  for workload in paper_groups churn_repair stream_flash; do
+    out="$("${build_dir}/groupcast_perfbench" --workload "${workload}" \
+      --seed 1 --seconds 1 --trace 0)"
+    grep -q "outputs correct" <<< "${out}"
+  done
+  echo "stages.sh: perfbench builds standalone and every workload passes" \
+    "its output checks"
+}
+
 # Nightly scale: the 100k-peer churn cell across shards 2, 4, AND 8 —
 # the pre-merge scale stage stops at two counts; the nightly proves the
 # full ladder stays byte-identical.
@@ -316,7 +342,7 @@ stage_lint_tidy() {
 }
 
 usage() {
-  echo "usage: scripts/stages.sh {asan|tsan|fault|perf|scale|trace|streaming|nightly-scale|nightly-tsan|nightly-bench|lint-format|lint-tidy} [build-dir]" >&2
+  echo "usage: scripts/stages.sh {asan|tsan|fault|perf|scale|trace|streaming|perfbench|nightly-scale|nightly-tsan|nightly-bench|lint-format|lint-tidy} [build-dir]" >&2
   exit 2
 }
 
@@ -331,6 +357,7 @@ case "${stage}" in
   scale) stage_scale "$@" ;;
   trace) stage_trace "$@" ;;
   streaming) stage_streaming "$@" ;;
+  perfbench) stage_perfbench "$@" ;;
   nightly-scale) stage_nightly_scale "$@" ;;
   nightly-tsan) stage_nightly_tsan "$@" ;;
   nightly-bench) stage_nightly_bench "$@" ;;

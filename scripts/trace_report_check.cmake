@@ -3,7 +3,8 @@
 # captures must be byte-identical), then every trace_report mode runs
 # over it and its output is checked for the markers the mode must
 # produce (histogram summaries, timeline frames, a reconstructed
-# dissemination path).
+# dissemination path).  A seeded streaming capture must carry timeline
+# frames as well.
 #
 # Invoked by ctest (see tools/CMakeLists.txt):
 #   cmake -DSIM_DRIVER=<sim_driver> -DTRACE_REPORT=<trace_report>
@@ -68,5 +69,28 @@ check_report(timeline "flight-recorder timeline;messages_sent;frames"
              --timeline=true)
 check_report(message "dissemination;published by node;per-hop breakdown;critical path"
              --message=auto)
+
+# Streaming runs arm the flight recorder as recovery runs do: a traced
+# flash-crowd capture must render timeline frames, not the empty notice.
+set(trace_stream ${WORK_DIR}/trace_golden_streaming.jsonl)
+execute_process(COMMAND ${SIM_DRIVER} --peers=300 --groups=1 --seed=1
+                --streaming=true --flash-joins=20 --trace_out=${trace_stream}
+                OUTPUT_VARIABLE stream_out RESULT_VARIABLE stream_rc)
+if(NOT stream_rc EQUAL 0)
+  message(FATAL_ERROR "streaming capture failed (exit ${stream_rc})")
+endif()
+execute_process(COMMAND ${TRACE_REPORT} --timeline=true ${trace_stream}
+                OUTPUT_VARIABLE stream_report RESULT_VARIABLE stream_report_rc)
+if(NOT stream_report_rc EQUAL 0)
+  message(FATAL_ERROR "trace_report streaming timeline failed "
+                      "(exit ${stream_report_rc})")
+endif()
+if(stream_report MATCHES "no timeline frames" OR
+   NOT stream_report MATCHES "sim ms" OR
+   NOT stream_report MATCHES "messages_sent")
+  message(FATAL_ERROR "streaming trace carries no flight-recorder "
+                      "timeline:\n${stream_report}")
+endif()
+message(STATUS "trace_report streaming timeline: ok")
 
 message(STATUS "trace_report golden check passed")

@@ -27,25 +27,23 @@ void erase_value(std::vector<overlay::PeerId>& v, overlay::PeerId value) {
   if (it != v.end()) v.erase(it);
 }
 
-/// Adaptive failure detection (docs/ROBUSTNESS.md, "Flow control &
-/// adaptive detection"): the per-window false-positive budget the miss
-/// threshold is derived against, and the widest window the estimator may
-/// open (bounds worst-case failure-detection latency).
-constexpr double kFalsePositiveTarget = 1e-4;
-constexpr std::size_t kMaxAdaptiveMisses = 12;
-
 /// Data-plane reliability timing (docs/ROBUSTNESS.md, "Data-plane
-/// reliability").  A detected gap waits kNackDelay (jittered by
-/// reliability.nack_jitter) before it is NACKed, which batches a burst of
-/// losses into one request; the same gap is not NACKed again for
-/// kNackRetryDelay, the suppression window while a retransmission is
-/// presumed in flight.  A sender with unacked data re-announces its next
-/// sequence every kProbeDelay (tail-loss probe) and gives the receiver up
-/// after kMaxProbeRounds silent rounds.
+/// reliability").  A detected gap waits kNackDelay before it is NACKed,
+/// which batches a burst of losses into one request; the same gap is not
+/// NACKed again for kNackRetryDelay, the suppression window while a
+/// retransmission is presumed in flight.  After kMaxNackRounds rounds
+/// without progress the receiver skips the gap (the sender's buffer no
+/// longer holds it; waiting forever deadlocks).  A sender with unacked
+/// data re-announces its next sequence every kProbeDelay (tail-loss probe)
+/// and gives the receiver up after kMaxProbeRounds silent rounds.  Every
+/// NACK and probe timer is stretched by a uniform factor in
+/// [1, 1 + kNackJitter) (SRM-style desynchronization).
 constexpr sim::SimTime kNackDelay = sim::SimTime::millis(40);
 constexpr sim::SimTime kNackRetryDelay = sim::SimTime::millis(250);
+constexpr std::size_t kMaxNackRounds = 8;
 constexpr sim::SimTime kProbeDelay = sim::SimTime::millis(400);
 constexpr std::size_t kMaxProbeRounds = 6;
+constexpr double kNackJitter = 0.5;
 
 /// Rendezvous replicas the subscription ladder tries when the rendezvous
 /// itself is unresponsive.  With replication on, the ladder covers at
@@ -55,9 +53,7 @@ constexpr std::size_t kRendezvousReplicas = 2;
 
 /// How long a replica tolerates lease silence before proposing a
 /// takeover: four renewal intervals, enough retry headroom above one.
-sim::SimTime lease_duration(const ReplicationOptions& replication) {
-  return replication.lease_interval * 4;
-}
+constexpr sim::SimTime kLeaseDuration = kLeaseInterval * 4;
 }  // namespace
 
 GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
@@ -68,41 +64,33 @@ GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
       graph_(&graph),
       options_(options),
       rng_(rng.split()),
-      exchange_(transport.simulator_for(self), self, options.retry, rng_) {
+      exchange_(transport.simulator_for(self), self, RetryPolicy{}, rng_) {
   GC_REQUIRE(self < transport.population().size());
   GC_REQUIRE(options_.ripple_ttl >= 1);
   GC_REQUIRE(options_.missed_heartbeats_to_fail >= 1);
   GC_REQUIRE(options_.heartbeat_interval >= sim::SimTime::zero());
   if (options_.reliability.enabled) {
-    GC_REQUIRE_MSG(options_.reliability.nack_jitter >= 0.0 &&
-                       options_.reliability.nack_jitter <= 1.0,
-                   "reliability.nack_jitter must be in [0, 1]");
-    GC_REQUIRE_MSG(options_.reliability.max_nack_rounds >= 1,
-                   "reliability.max_nack_rounds must be >= 1");
-    GC_REQUIRE(options_.reliability.send_buffer_cap >= 1);
     GC_REQUIRE_MSG(options_.reliability.ack_every >= 1,
                    "reliability.ack_every must be >= 1");
     if (options_.reliability.flow_control) {
       GC_REQUIRE_MSG(options_.reliability.window >= 1,
                      "reliability.window must be >= 1");
-      GC_REQUIRE_MSG(
-          options_.reliability.window <= options_.reliability.send_buffer_cap,
-          "reliability.window must fit within send_buffer_cap");
+      GC_REQUIRE_MSG(options_.reliability.window <= kSendBufferCap,
+                     "reliability.window must fit within kSendBufferCap");
     }
   }
   if (options_.replication.enabled) {
     GC_REQUIRE_MSG(options_.replication.replicas >= 1,
                    "replication.replicas must be >= 1");
-    GC_REQUIRE_MSG(options_.replication.lease_interval > sim::SimTime::zero(),
-                   "replication.lease_interval must be positive");
     // The quorum-round exchange is constructed only behind the flag: its
     // construction splits rng_, which would shift every downstream draw of
     // a replication-off run.  Retries pace at the lease interval and stop
     // by the lease duration — a round still open then has lost its quorum.
     RetryPolicy lease_retry;
-    lease_retry.base_timeout = options_.replication.lease_interval;
-    lease_retry.max_timeout = lease_duration(options_.replication);
-    repl_exchange_.emplace(transport.simulator_for(self), self, lease_retry, rng_);
+    lease_retry.base_timeout = kLeaseInterval;
+    lease_retry.max_timeout = kLeaseDuration;
+    repl_exchange_.emplace(transport.simulator_for(self), self, lease_retry,
+                           rng_);
   }
 }
 
@@ -411,30 +399,6 @@ std::size_t GroupCastNode::pending_depth(GroupId group,
   if (git == groups_.end()) return 0;
   const auto it = git->second.tx_edges.find(peer);
   return it != git->second.tx_edges.end() ? it->second.pending.size() : 0;
-}
-
-std::size_t GroupCastNode::effective_heartbeat_misses(GroupId group) const {
-  const auto it = groups_.find(group);
-  if (!options_.adaptive || it == groups_.end()) {
-    return options_.missed_heartbeats_to_fail;
-  }
-  return adaptive_miss_threshold(it->second.hb_miss_ewma,
-                                 options_.missed_heartbeats_to_fail);
-}
-
-std::size_t GroupCastNode::adaptive_miss_threshold(double miss_ewma,
-                                                   std::size_t floor_misses) {
-  const std::size_t cap = std::max(floor_misses, kMaxAdaptiveMisses);
-  if (miss_ewma <= 0.0) return floor_misses;
-  if (miss_ewma >= 1.0) return cap;
-  // docs/ROBUSTNESS.md false-positive math: k consecutive misses are a
-  // false positive with probability miss^k, so the smallest k with
-  // miss^k <= target keeps the spurious-recovery rate under budget.
-  const double need =
-      std::log(kFalsePositiveTarget) / std::log(miss_ewma);
-  if (need >= static_cast<double>(cap)) return cap;
-  const auto k = static_cast<std::size_t>(std::ceil(need));
-  return std::min(std::max(k, floor_misses), cap);
 }
 
 std::uint64_t GroupCastNode::expected_seq(GroupId group,
@@ -750,10 +714,6 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
   state.attach_depth_limit = kUnknownDepth;
   state.dissolved_once = false;
   state.parent_last_ack = now();
-  // A new parent means a new path: the failure-detector estimate learned
-  // on the old edge no longer describes this one.
-  state.hb_miss_ewma = 0.0;
-  state.hb_probe_outstanding = false;
   // Reattach re-sync, child side: whatever edge state a previous
   // incarnation of this parent link left behind is stale now.  The
   // parent's JoinAck is chased by its SeqSync (per-pair FIFO), which
@@ -859,49 +819,23 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
   if (!running_) return;
   const auto t = now();
   const auto interval = options_.heartbeat_interval;
+  const auto misses =
+      static_cast<std::int64_t>(options_.missed_heartbeats_to_fail);
   if (state.on_tree && state.tree_parent != self_ &&
       state.tree_parent != overlay::kNoPeer) {
-    if (options_.adaptive && state.hb_probe_outstanding) {
-      // One miss sample per probed interval: did the previous heartbeat's
-      // ack make it back before this tick?
-      ewma_update(state.hb_miss_ewma,
-                  state.parent_last_ack >= state.last_hb_probe ? 0.0 : 1.0);
-      state.hb_probe_outstanding = false;
-      trace::histograms().record(
-          trace::HistogramId::kEstimatedLoss,
-          static_cast<std::uint64_t>(
-              std::llround(state.hb_miss_ewma * 1000.0)));
-    }
-    const std::size_t misses =
-        options_.adaptive
-            ? adaptive_miss_threshold(state.hb_miss_ewma,
-                                      options_.missed_heartbeats_to_fail)
-            : options_.missed_heartbeats_to_fail;
-    const auto deadline = interval * static_cast<std::int64_t>(misses);
+    const auto deadline = interval * misses;
     if (t - state.parent_last_ack > deadline) {
       begin_recovery(group, state.tree_parent);
     } else {
       transport_->send(self_, state.tree_parent, HeartbeatMsg{group});
       trace::counters().incr(self_, trace::CounterId::kHeartbeats);
-      if (options_.adaptive) {
-        state.last_hb_probe = t;
-        state.hb_probe_outstanding = true;
-      }
     }
   }
   if (!state.children.empty()) {
     // Prune children that went silent: one interval of slack beyond the
     // parent-side deadline so a child is never pruned before it would
-    // have declared us dead.  Under adaptive detection a child may widen
-    // its own deadline up to kMaxAdaptiveMisses, so the slack must cover
-    // the widest window any child could be using.
-    const std::size_t child_misses =
-        options_.adaptive
-            ? std::max(options_.missed_heartbeats_to_fail,
-                       kMaxAdaptiveMisses)
-            : options_.missed_heartbeats_to_fail;
-    const auto child_deadline =
-        interval * static_cast<std::int64_t>(child_misses + 1);
+    // have declared us dead.
+    const auto child_deadline = interval * (misses + 1);
     std::vector<overlay::PeerId> ghosts;
     for (const auto child : state.children) {
       const auto it = state.child_last_seen.find(child);
@@ -1167,38 +1101,10 @@ std::uint64_t pack_edge(GroupId group, overlay::PeerId peer) {
 }
 }  // namespace
 
-sim::SimTime GroupCastNode::jittered(sim::SimTime base, double jitter) {
-  const double stretch = 1.0 + jitter * rng_.uniform();
+sim::SimTime GroupCastNode::jittered(sim::SimTime base) {
+  const double stretch = 1.0 + kNackJitter * rng_.uniform();
   return sim::SimTime::micros(static_cast<std::int64_t>(
       static_cast<double>(base.as_micros()) * stretch));
-}
-
-void GroupCastNode::ewma_update(double& estimate, double sample) {
-  constexpr double kEwmaAlpha = 0.125;  // 1/8: roughly an 8-sample memory
-  estimate += kEwmaAlpha * (sample - estimate);
-}
-
-sim::SimTime GroupCastNode::nack_delay_for(const EdgeRx& rx) const {
-  const auto base = kNackDelay;
-  if (!options_.adaptive) return base;
-  // The higher the measured loss, the more likely a gap is a real hole
-  // rather than reordering in flight: shrink the batching delay, floored
-  // at a quarter of the configured base.
-  const double scale = std::max(0.25, 1.0 - rx.loss_ewma);
-  return sim::SimTime::micros(static_cast<std::int64_t>(
-      static_cast<double>(base.as_micros()) * scale));
-}
-
-sim::SimTime GroupCastNode::nack_retry_for(const EdgeRx& rx) const {
-  const auto base = kNackRetryDelay;
-  if (!options_.adaptive || rx.repair_ewma_us <= 0.0) return base;
-  // Pace retries by the measured repair time (2x covers the NACK plus
-  // retransmission round trip): never faster than the first-NACK delay,
-  // never slower than the configured retry constant.
-  const auto lo =
-      std::min(nack_delay_for(rx).as_micros(), base.as_micros());
-  const auto scaled = static_cast<std::int64_t>(2.0 * rx.repair_ewma_us);
-  return sim::SimTime::micros(std::clamp(scaled, lo, base.as_micros()));
 }
 
 MessageBody GroupCastNode::payload_msg(GroupId group, std::uint32_t epoch,
@@ -1263,7 +1169,7 @@ void GroupCastNode::send_data(GroupId group, GroupState& state,
 void GroupCastNode::transmit_now(GroupId group, overlay::PeerId to,
                                  EdgeTx& tx,
                                  const BufferedPayload& payload) {
-  if (tx.buffer.size() >= options_.reliability.send_buffer_cap) {
+  if (tx.buffer.size() >= kSendBufferCap) {
     tx.buffer.pop_front();  // oldest unacked copy falls off
   }
   const std::uint64_t seq = tx.next_seq++;
@@ -1417,9 +1323,8 @@ void GroupCastNode::maybe_schedule_nack(GroupId group, overlay::PeerId peer,
                                         EdgeRx& rx) {
   auto& simulator = transport_->simulator_for(self_);
   if (simulator.timer_pending(rx.nack_timer)) return;  // one in flight
-  rx.nack_timer = simulator.schedule_timer(
-      jittered(nack_delay_for(rx), options_.reliability.nack_jitter),
-      &nack_thunk, this, pack_edge(group, peer));
+  rx.nack_timer = simulator.schedule_timer(jittered(kNackDelay), &nack_thunk,
+                                           this, pack_edge(group, peer));
 }
 
 void GroupCastNode::maybe_schedule_probe(GroupId group,
@@ -1428,9 +1333,8 @@ void GroupCastNode::maybe_schedule_probe(GroupId group,
   if (simulator.timer_pending(tx.probe_timer)) return;
   tx.probe_rounds = 0;
   tx.acked_at_last_probe = tx.cum_acked;
-  tx.probe_timer = simulator.schedule_timer(
-      jittered(kProbeDelay, options_.reliability.nack_jitter),
-      &probe_thunk, this, pack_edge(group, peer));
+  tx.probe_timer = simulator.schedule_timer(jittered(kProbeDelay), &probe_thunk,
+                                            this, pack_edge(group, peer));
 }
 
 void GroupCastNode::nack_thunk(void* context, std::uint64_t packed) {
@@ -1457,7 +1361,7 @@ void GroupCastNode::on_nack_timer(GroupId group, overlay::PeerId peer) {
     rx.nack_rounds = 0;  // the gap closed while the timer was pending
     return;
   }
-  if (rx.nack_rounds >= options_.reliability.max_nack_rounds) {
+  if (rx.nack_rounds >= kMaxNackRounds) {
     // The sender's buffer no longer holds the gap (or the edge is dead):
     // skip past it instead of deadlocking the in-order pipeline.
     rx.nack_rounds = 0;
@@ -1481,18 +1385,12 @@ void GroupCastNode::on_nack_timer(GroupId group, overlay::PeerId peer) {
   }
   transport_->send(self_, peer, DataNackMsg{group, rx.epoch, base, mask});
   trace::counters().incr(self_, trace::CounterId::kNacksSent);
-  if (options_.adaptive) {
-    trace::histograms().record(
-        trace::HistogramId::kEstimatedLoss,
-        static_cast<std::uint64_t>(std::llround(rx.loss_ewma * 1000.0)));
-  }
   if (rx.nack_rounds == 0) rx.last_nack_at = now();  // repair clock starts
   ++rx.nack_rounds;
   // Re-arm on the (longer) retry cadence: no second NACK for this gap
   // while the requested retransmission is presumed in flight.
   rx.nack_timer = transport_->simulator_for(self_).schedule_timer(
-      jittered(nack_retry_for(rx), options_.reliability.nack_jitter),
-      &nack_thunk, this, pack_edge(group, peer));
+      jittered(kNackRetryDelay), &nack_thunk, this, pack_edge(group, peer));
 }
 
 void GroupCastNode::on_probe_timer(GroupId group, overlay::PeerId peer) {
@@ -1537,8 +1435,7 @@ void GroupCastNode::on_probe_timer(GroupId group, overlay::PeerId peer) {
       tx.buffer.empty() ? tx.next_seq : tx.buffer.front().seq;
   transport_->send(self_, peer, SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
   tx.probe_timer = transport_->simulator_for(self_).schedule_timer(
-      jittered(kProbeDelay, options_.reliability.nack_jitter),
-      &probe_thunk, this, pack_edge(group, peer));
+      jittered(kProbeDelay), &probe_thunk, this, pack_edge(group, peer));
 }
 
 void GroupCastNode::drain_rx(GroupId group, GroupState& state,
@@ -1602,11 +1499,6 @@ void GroupCastNode::accept_sequenced(const Envelope& envelope, GroupId group,
         static_cast<std::uint64_t>(trace::DropReason::kDuplicate));
     return;
   }
-  if (options_.adaptive) {
-    // One loss sample per accepted sequenced arrival: in-order is a hit,
-    // a gap means at least one copy ahead of us went missing.
-    ewma_update(rx.loss_ewma, seq == rx.expected ? 0.0 : 1.0);
-  }
   if (seq == rx.expected) {
     if (rx.nack_rounds > 0) {
       // This in-order arrival closes a NACKed gap: record first-NACK to
@@ -1615,9 +1507,6 @@ void GroupCastNode::accept_sequenced(const Envelope& envelope, GroupId group,
           static_cast<std::uint64_t>((now() - rx.last_nack_at).as_micros());
       trace::histograms().record(trace::HistogramId::kNackRepairUs,
                                  repair_us);
-      if (options_.adaptive) {
-        ewma_update(rx.repair_ewma_us, static_cast<double>(repair_us));
-      }
     }
     ++rx.expected;
     ++rx.delivered_since_ack;
@@ -1837,12 +1726,11 @@ void GroupCastNode::maybe_schedule_repl_tick(GroupId group) {
       group);
   // Same wheel-timer shape as the heartbeat tick: one shared cancellable
   // timer per node, groups enrol for the next round.  The cadence is a
-  // fixed lease_interval with no jitter, so renewal traffic is a pure
+  // fixed kLeaseInterval with no jitter, so renewal traffic is a pure
   // function of the scenario, not of RNG interleaving.
   auto& simulator = transport_->simulator_for(self_);
   if (!simulator.timer_pending(repl_timer_)) {
-    repl_timer_ = simulator.schedule_timer(
-        options_.replication.lease_interval, &repl_thunk, this);
+    repl_timer_ = simulator.schedule_timer(kLeaseInterval, &repl_thunk, this);
   }
 }
 
@@ -1879,8 +1767,7 @@ void GroupCastNode::repl_tick(GroupId group) {
     const auto rank = static_cast<std::int64_t>(
         std::find(repl.members.begin(), repl.members.end(), self_) -
         repl.members.begin());
-    const auto patience = lease_duration(options_.replication) +
-                          options_.replication.lease_interval * rank;
+    const auto patience = kLeaseDuration + kLeaseInterval * rank;
     if (now() - repl.last_lease_seen > patience) {
       start_repl_round(group, /*handoff=*/true,
                        std::max(repl.epoch, repl.promised) + 1);

@@ -45,32 +45,27 @@ inline constexpr std::uint32_t kUnknownDepth = 0xFFFFFFFFu;
 /// sequence numbering with receiver-driven NACK/retransmit, cumulative
 /// acks trimming a bounded per-child send buffer, and sender-side
 /// tail-loss probes.  Off by default: group data then rides the legacy
-/// fire-and-forget DataMsg path, byte-identical to before.
+/// fire-and-forget DataMsg path, byte-identical to before.  The NACK
+/// jitter and round budget are constants in node.cc.
 struct DataReliabilityOptions {
   bool enabled = false;
-  /// Jitter of the NACK and probe timers (whose base delays are constants
-  /// in node.cc): a uniform factor in [1, 1 + jitter) drawn from the
-  /// node's RNG stream (SRM-style desynchronization).
-  double nack_jitter = 0.5;
-  /// NACK rounds without progress before the receiver skips the gap
-  /// (the sender's buffer no longer holds it; waiting forever deadlocks).
-  std::size_t max_nack_rounds = 8;
-  /// Retransmit-buffer bound per directed edge; the oldest unacked entry
-  /// falls off when a send would exceed it.
-  std::size_t send_buffer_cap = 128;
   /// Cumulative-ack cadence: one ack per this many in-order deliveries.
   std::size_t ack_every = 8;
-  /// Ack-clocked flow control (docs/ROBUSTNESS.md, "Flow control &
-  /// adaptive detection"): at most `window` unacked sequences in flight
-  /// per directed edge; further sends queue at the sender and drain as
-  /// cumulative acks advance, and a blocked edge signals its data source
-  /// (the tree parent) to pause via FlowControlMsg.  Off by default: the
-  /// legacy fire-into-the-buffer behaviour is then byte-identical.
+  /// Ack-clocked flow control (docs/ROBUSTNESS.md, "Flow control"): at
+  /// most `window` unacked sequences in flight per directed edge; further
+  /// sends queue at the sender and drain as cumulative acks advance, and a
+  /// blocked edge signals its data source (the tree parent) to pause via
+  /// FlowControlMsg.  Off by default: the legacy fire-into-the-buffer
+  /// behaviour is then byte-identical.
   bool flow_control = false;
-  /// Sender window per directed edge, in sequences (>= 1, <= the
-  /// retransmit-buffer cap so windowed data never falls off the buffer).
+  /// Sender window per directed edge, in sequences (>= 1, <= kSendBufferCap
+  /// so windowed data never falls off the retransmit buffer).
   std::size_t window = 32;
 };
+
+/// Retransmit-buffer bound per directed reliable edge; the oldest unacked
+/// entry falls off when a send would exceed it.
+inline constexpr std::size_t kSendBufferCap = 128;
 
 /// Rendezvous replication with leased leadership (docs/ROBUSTNESS.md,
 /// "Rendezvous replication & quorum handoff").  The rendezvous point and
@@ -88,34 +83,25 @@ struct ReplicationOptions {
   /// Replica count beside the rendezvous point (member set = 1 + this;
   /// the default gives a 3-member set with majority 2).
   std::size_t replicas = 2;
-  /// Leaseholder renewal period; also the stagger unit for takeover
-  /// candidates (member rank * interval) so proposals do not collide.  A
-  /// member tolerates four intervals of lease silence before proposing a
-  /// takeover.
-  sim::SimTime lease_interval = sim::SimTime::millis(500);
 };
+
+/// Leaseholder renewal period; also the stagger unit for takeover
+/// candidates (member rank * interval) so proposals do not collide.  A
+/// member tolerates four intervals of lease silence before proposing a
+/// takeover.
+inline constexpr sim::SimTime kLeaseInterval = sim::SimTime::millis(500);
 
 struct NodeOptions {
   /// Scheme + fan-out the node uses when forwarding advertisements.
   AdvertisementOptions advertisement;
   /// TTL of the first ripple search; each retry widens it by one hop.
   std::size_t ripple_ttl = 2;
-  /// Per-attempt timeout / backoff / attempt budget of every control-plane
-  /// exchange (one exchange per ladder rung).
-  RetryPolicy retry;
   /// Tree-edge heartbeat period; zero() disables liveness probing (the
   /// default, so `Simulator::run()` still drains in non-churn tests).
   sim::SimTime heartbeat_interval = sim::SimTime::zero();
   /// Heartbeat intervals without an ack before the parent is declared
   /// dead (the paper's two-miss rule).
   std::size_t missed_heartbeats_to_fail = 2;
-  /// Adaptive failure detection (docs/ROBUSTNESS.md, "Flow control &
-  /// adaptive detection"): derive the heartbeat-miss threshold and the
-  /// NACK cadence from online per-edge loss / repair-time EWMAs instead
-  /// of the fixed constants above.  `missed_heartbeats_to_fail` becomes
-  /// the floor the estimator widens from.  Off by default — detection
-  /// then uses exactly the configured constants, byte-identical.
-  bool adaptive = false;
   /// NACK/retransmit reliability for group data on tree edges.
   DataReliabilityOptions reliability;
   /// Rendezvous replication: leased leadership with quorum handoff.
@@ -223,15 +209,6 @@ class GroupCastNode {
   /// Payloads queued behind a closed flow-control window on the directed
   /// edge to `peer` (always 0 with flow control off).
   std::size_t pending_depth(GroupId group, overlay::PeerId peer) const;
-  /// Heartbeat intervals without an ack before this node's parent on
-  /// `group` is declared dead right now: the configured constant, or the
-  /// adaptive widening derived from the measured miss rate.
-  std::size_t effective_heartbeat_misses(GroupId group) const;
-  /// The adaptive widening rule (docs/ROBUSTNESS.md): smallest miss count
-  /// k with miss_ewma^k <= the false-positive target, clamped to
-  /// [floor_misses, 12].  Pure; exposed for tests.
-  static std::size_t adaptive_miss_threshold(double miss_ewma,
-                                             std::size_t floor_misses);
   /// Sequence the reliable edge from `peer` expects next (0 when none).
   std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const;
   /// Estimated resident bytes of this node's protocol state: the object
@@ -321,12 +298,6 @@ class GroupCastNode {
     /// When the current repair round's first NACK went out; feeds the
     /// NACK-to-repair histogram once in-order progress resumes.
     sim::SimTime last_nack_at;
-    /// Adaptive detection (NodeOptions::adaptive): EWMA of the per-arrival
-    /// gap indicator (1 = arrived out of order, 0 = in order) and of the
-    /// measured NACK-to-repair time.  Purely observational when the flag
-    /// is off (never updated, never read).
-    double loss_ewma = 0.0;
-    double repair_ewma_us = 0.0;
   };
 
   /// Per-member replication state (ReplicationOptions): the fixed member
@@ -396,12 +367,6 @@ class GroupCastNode {
     bool heartbeat_scheduled = false;
     sim::SimTime parent_last_ack;
     std::unordered_map<overlay::PeerId, sim::SimTime> child_last_seen;
-    /// Adaptive detection: EWMA of per-window heartbeat-ack misses toward
-    /// the current parent (sampled each tick a probe was outstanding),
-    /// and the probe bookkeeping that feeds it.  Reset on re-attach.
-    double hb_miss_ewma = 0.0;
-    sim::SimTime last_hb_probe;
-    bool hb_probe_outstanding = false;
 
     // --- flow control ---
     /// Outbound edges of this group whose window is currently closed
@@ -515,16 +480,9 @@ class GroupCastNode {
   /// the tree parent — if it has one.
   void signal_upstream(GroupId group, GroupState& state, bool throttled);
 
-  // --- adaptive failure detection (NodeOptions::adaptive) ---
-  /// EWMA update toward `sample` with the fixed alpha.
-  static void ewma_update(double& estimate, double sample);
-  /// NACK delay / retry cadence for one rx edge: the configured constants,
-  /// shortened (delay) or repair-time-paced (retry) when adaptive.
-  sim::SimTime nack_delay_for(const EdgeRx& rx) const;
-  sim::SimTime nack_retry_for(const EdgeRx& rx) const;
-  /// `base` stretched by a uniform factor in [1, 1 + jitter) drawn from
-  /// this node's RNG stream (the reliable_exchange jitter idiom).
-  sim::SimTime jittered(sim::SimTime base, double jitter);
+  /// `base` stretched by a uniform factor in [1, 1 + kNackJitter) drawn
+  /// from this node's RNG stream (the reliable_exchange jitter idiom).
+  sim::SimTime jittered(sim::SimTime base);
 
   // --- retry ladder ---
   /// Starts (or restarts) the ladder at its first applicable rung.

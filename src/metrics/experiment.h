@@ -12,7 +12,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/middleware.h"
@@ -26,7 +25,9 @@ namespace groupcast::metrics {
 /// Switches a scenario from the engine-level pipeline to the node-runtime
 /// churn harness (metrics/recovery.h).  With `enabled == false` (the
 /// default) every other field is inert and run_scenario behaves exactly as
-/// before, keeping existing goldens byte-identical.
+/// before, keeping existing goldens byte-identical.  The heartbeat and
+/// epoch timing both runtime harnesses share are constants in
+/// metrics/harness_common.h.
 struct RecoveryOptions {
   bool enabled = false;
   /// Steady-state per-message loss probability of the transport, [0, 1].
@@ -36,19 +37,6 @@ struct RecoveryOptions {
   /// Fraction of subscribers leaving gracefully during churn, [0, 1].
   /// crash_fraction + graceful_fraction must stay <= 1.
   double graceful_fraction = 0.0;
-  /// Tree-edge heartbeat period of every node, seconds (> 0).
-  double heartbeat_seconds = 0.5;
-  /// Heartbeat intervals without an ack before a parent is declared dead.
-  /// The node default (2, the paper's two-miss rule) is tuned for a quiet
-  /// network; under steady loss p an ack round-trip survives with
-  /// (1-p)^2, so the harness default widens the window to keep the
-  /// false-positive rate negligible at the sweep's loss levels.
-  std::size_t heartbeat_misses = 6;
-  /// Length of one convergence epoch, seconds (> 0).  Churn is injected
-  /// over one epoch; recovery is then observed epoch by epoch.
-  double epoch_seconds = 4.0;
-  /// Epochs the harness waits for re-convergence before giving up.
-  std::size_t convergence_epochs = 10;
   /// Payloads of the post-churn speaking round (delivery-ratio probe).
   std::size_t speaking_payloads = 4;
   /// Data-plane NACK/retransmit reliability on tree edges
@@ -62,38 +50,28 @@ struct RecoveryOptions {
   bool flow_control = false;
   /// Sender window per directed edge, in sequences (flow_control only).
   std::size_t flow_window = 32;
-  /// Adaptive failure detection and NACK cadence
-  /// (core::NodeOptions::adaptive): per-edge loss/RTT estimators widen
-  /// heartbeat_misses and shorten NACK delays online.
-  bool adaptive = false;
-  /// Every slow_peer_stride-th peer acks at a slow_ack_factor-times
-  /// coarser cadence (a "slow child"); 0 disables the impairment.
+  /// Every slow_peer_stride-th peer acks at a ten-times coarser cadence
+  /// (a "slow child"); 0 disables the impairment.
   std::size_t slow_peer_stride = 0;
-  /// Multiplier applied to the slow peers' reliability.ack_every (>= 1).
-  std::size_t slow_ack_factor = 10;
-  /// Extra fault-plan clauses (sim/fault_plan.h grammar; absolute sim
-  /// times) merged into the derived churn plan.  Empty = none.
-  std::string fault_plan;
   /// Rendezvous replication with leased leadership and quorum handoff
   /// (core::ReplicationOptions).  Off keeps every message, timer and RNG
   /// draw byte-identical to before.
   bool replication = false;
-  /// Replica count beside the rendezvous point (replication only).
+  /// Replica count beside the rendezvous point (replication only).  The
+  /// lease renews every core::kLeaseInterval.
   std::size_t replicas = 2;
-  /// Lease renewal interval, seconds (> 0, replication only); the lease
-  /// duration — takeover patience — is four renewal intervals.
-  double lease_seconds = 0.5;
   /// Length of the RP-side partition window injected after recovery has
   /// converged, seconds; 0 disables the partition phase.  Requires
-  /// replication: the phase exists to measure leased failover.
+  /// replication: the phase exists to measure leased failover.  The
+  /// delivery probe publishes at kPartitionProbeAt x the window, so a
+  /// short window measures the failover transient rather than the
+  /// partitioned steady state.
   double partition_seconds = 0.0;
-  /// Fraction of survivors isolated with the rendezvous point on the
-  /// minority side, (0, 0.5] when partition_seconds > 0.  Every replica
-  /// stays on the majority side so a quorum can elect.
-  double partition_fraction = 0.2;
-  /// Payloads published *per side* during the partition window.
-  std::size_t partition_payloads = 4;
 };
+
+/// Where in the partition window the per-side delivery probe publishes,
+/// as a fraction of RecoveryOptions::partition_seconds.
+inline constexpr double kPartitionProbeAt = 0.8;
 
 /// Multi-source group layout for the streaming harness.
 struct MultiSourceOptions {
@@ -139,24 +117,15 @@ struct StreamingOptions {
   /// Scale both caps by each peer's capacity class (Table 1 flows).
   bool scale_caps_with_capacity = false;
   /// Chunk transport: NACK/retransmit reliability on tree edges, plus the
-  /// usual flow-control / adaptive riders (recovery harness semantics).
+  /// usual flow-control rider (recovery harness semantics).
   bool reliable_data = false;
   bool flow_control = false;
-  bool adaptive = false;
   /// Publisher count and tree layout.
   MultiSourceOptions sources;
   /// Peers that join mid-stream against the warm tree (0 = no flash
   /// crowd), spread uniformly over flash_crowd_seconds.
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_seconds = 1.0;
-  /// Tree-edge heartbeat period, seconds (> 0); misses before a parent is
-  /// declared dead (recovery harness semantics).
-  double heartbeat_seconds = 0.5;
-  std::size_t heartbeat_misses = 6;
-  /// Length of one convergence epoch, seconds (> 0), and how many epochs
-  /// the harness waits for tree convergence before streaming starts.
-  double epoch_seconds = 4.0;
-  std::size_t convergence_epochs = 10;
 };
 
 struct ScenarioConfig {
@@ -234,7 +203,7 @@ struct ScenarioResult {
                                       // the end (the rounded fraction
                                       // above hides a single one)
   double mean_orphan_epochs = 0.0;    // mean epochs orphans stayed cut off
-  double epochs_to_converge = 0.0;    // convergence_epochs if never
+  double epochs_to_converge = 0.0;    // kConvergenceEpochs if never
   double control_overhead = 0.0;      // recovery-window msgs / survivor
   double invariant_violations = 0.0;  // core/invariants.h at the end
 

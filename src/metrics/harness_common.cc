@@ -98,9 +98,7 @@ std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
 
 NodeRuntime::NodeRuntime(const ScenarioConfig& config,
                          const core::TransportOptions& transport_options,
-                         const core::NodeOptions& node_options,
-                         sim::SimTime epoch, const Adjust& adjust)
-    : epoch_(epoch) {
+                         const Configure& configure) {
   GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
   GC_REQUIRE_MSG(config.shards <= config.peer_count,
                  "config.shards must not exceed peer_count");
@@ -127,10 +125,15 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     transport_.emplace(wheel, middleware_->population(), transport_options,
                        rng_);
   }
+  core::NodeOptions base;
+  base.advertisement = config.middleware_config().advertisement;
+  base.ripple_ttl = config.ripple_ttl;
+  base.heartbeat_interval = kHeartbeatInterval;
+  base.missed_heartbeats_to_fail = kHeartbeatMisses;
   nodes_.reserve(config.peer_count);
   for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
-    auto options = node_options;
-    if (adjust) adjust(p, options);
+    auto options = base;
+    configure(p, options);
     nodes_.push_back(std::make_unique<core::GroupCastNode>(
         p, *transport_, middleware_->graph(), options, rng_));
     nodes_.back()->start();
@@ -160,7 +163,7 @@ void NodeRuntime::arm_flight_recorder() {
                  "(run with shards == 1)");
   auto& wheel = middleware_->simulator();
   trace::flight_recorder().capture(wheel.now().as_micros());
-  recorder_.emplace(wheel, epoch_);
+  recorder_.emplace(wheel, kEpoch);
 }
 
 void NodeRuntime::want_subscriptions(overlay::PeerId p) {
@@ -172,7 +175,7 @@ void NodeRuntime::want_subscriptions(overlay::PeerId p) {
 
 void NodeRuntime::resubscribe_later(overlay::PeerId p, core::GroupId g) {
   auto& node_sim = transport_->simulator_for(p);
-  node_sim.schedule_at(node_sim.now() + epoch_, [this, p, g] {
+  node_sim.schedule_at(node_sim.now() + kEpoch, [this, p, g] {
     if (want_[p] != 0 && nodes_[p]->running() &&
         !nodes_[p]->is_subscribed(g)) {
       nodes_[p]->subscribe(g);
@@ -181,10 +184,9 @@ void NodeRuntime::resubscribe_later(overlay::PeerId p, core::GroupId g) {
 }
 
 void NodeRuntime::settle(const std::vector<overlay::PeerId>& peers,
-                         const std::vector<core::GroupId>& groups,
-                         std::size_t max_epochs) {
-  for (std::size_t e = 0; e < max_epochs; ++e) {
-    advance(epoch_);
+                         const std::vector<core::GroupId>& groups) {
+  for (std::size_t e = 0; e < kConvergenceEpochs; ++e) {
+    advance(kEpoch);
     const bool settled =
         std::all_of(peers.begin(), peers.end(), [&](overlay::PeerId p) {
           return std::none_of(groups.begin(), groups.end(),

@@ -26,6 +26,21 @@
 
 namespace groupcast::metrics::detail {
 
+/// Tree-edge heartbeat period of every harness node.
+inline constexpr sim::SimTime kHeartbeatInterval = sim::SimTime::millis(500);
+/// Heartbeat intervals without an ack before a parent is declared dead.
+/// The node default (2, the paper's two-miss rule) is tuned for a quiet
+/// network; under steady loss p an ack round-trip survives with
+/// (1-p)^2, so the harnesses widen the window to keep the false-positive
+/// rate negligible at the sweeps' loss levels.
+inline constexpr std::size_t kHeartbeatMisses = 6;
+/// Length of one convergence epoch: the application retry delay, the
+/// settle step and the flight-recorder period.  Recovery injects churn
+/// over one epoch and then observes re-convergence epoch by epoch.
+inline constexpr sim::SimTime kEpoch = sim::SimTime::seconds(4.0);
+/// Epochs a harness waits for (re-)convergence before giving up.
+inline constexpr std::size_t kConvergenceEpochs = 10;
+
 /// Conservative lookahead of the sharded kernel, in microseconds.  Peers
 /// are sharded by access router, so every cross-shard message crosses at
 /// least one underlay link and pays two (distinct) access latencies: its
@@ -48,15 +63,16 @@ struct ShardTrace;
 /// table, and ends with finish().
 class NodeRuntime {
  public:
-  /// Per-peer adjustment of the shared node options (e.g. impairments).
-  using Adjust = std::function<void(overlay::PeerId, core::NodeOptions&)>;
+  /// The harness's own node settings (reliability, replication,
+  /// impairments), applied per peer on top of the shared base.
+  using Configure = std::function<void(overlay::PeerId, core::NodeOptions&)>;
 
-  /// `epoch` is the retry delay of the application loop, the settle step
-  /// and the flight-recorder period.
+  /// Every node starts from the same base options: the scenario's
+  /// advertisement scheme and ripple TTL, kHeartbeatInterval and
+  /// kHeartbeatMisses.  `configure` then adjusts each peer's copy.
   NodeRuntime(const ScenarioConfig& config,
               const core::TransportOptions& transport_options,
-              const core::NodeOptions& node_options, sim::SimTime epoch,
-              const Adjust& adjust = nullptr);
+              const Configure& configure);
   ~NodeRuntime();
 
   NodeRuntime(const NodeRuntime&) = delete;
@@ -76,24 +92,23 @@ class NodeRuntime {
   /// The kernel's global clock.
   sim::SimTime now() const;
 
-  /// Arms one flight-recorder frame per epoch when the facility is on (a
+  /// Arms one flight-recorder frame per kEpoch when the facility is on (a
   /// disabled run schedules nothing).  The recorder snapshots global state
   /// from an event handler, which has no safe home on a sharded run, so
   /// that is refused.
   void arm_flight_recorder();
 
   /// Application-level retry loop: once `p` wants its groups, a subscribe
-  /// ladder that gives up re-subscribes one epoch later, as a real client
+  /// ladder that gives up re-subscribes one kEpoch later, as a real client
   /// would, until stop_wanting(p).  The want flags are one byte per peer,
   /// each only touched from its peer's own shard, so no lock is needed.
   void want_subscriptions(overlay::PeerId p);
   void stop_wanting(overlay::PeerId p) { want_[p] = 0; }
 
-  /// Advances epoch by epoch, at most `max_epochs`, until no peer in
-  /// `peers` has a subscribe exchange pending on any of `groups`.
+  /// Advances kEpoch by kEpoch, at most kConvergenceEpochs times, until no
+  /// peer in `peers` has a subscribe exchange pending on any of `groups`.
   void settle(const std::vector<overlay::PeerId>& peers,
-              const std::vector<core::GroupId>& groups,
-              std::size_t max_epochs);
+              const std::vector<core::GroupId>& groups);
 
   /// The result tail: repair edges, the per-kind message accounts, event
   /// totals, the folded counter and histogram snapshots, and the
@@ -107,7 +122,6 @@ class NodeRuntime {
   // transport, and the transport (the ShardSet client) before the kernel.
   std::unique_ptr<core::GroupCastMiddleware> middleware_;
   util::Rng rng_;
-  sim::SimTime epoch_;
   sim::SimTime clock_ = sim::SimTime::zero();
   std::optional<sim::ShardSet> engine_;
   std::optional<core::Transport> transport_;

@@ -19,6 +19,9 @@ namespace groupcast::metrics {
 
 namespace {
 
+using detail::kConvergenceEpochs;
+using detail::kEpoch;
+
 void validate(const RecoveryOptions& rec) {
   GC_REQUIRE_MSG(rec.enabled, "recovery harness invoked while disabled");
   GC_REQUIRE_MSG(
@@ -31,32 +34,27 @@ void validate(const RecoveryOptions& rec) {
       "recovery.graceful_fraction must be in [0, 1]");
   GC_REQUIRE_MSG(rec.crash_fraction + rec.graceful_fraction <= 1.0,
                  "crash_fraction + graceful_fraction must stay <= 1");
-  GC_REQUIRE_MSG(rec.heartbeat_seconds > 0.0,
-                 "recovery.heartbeat_seconds must be > 0");
-  GC_REQUIRE(rec.heartbeat_misses >= 1);
-  GC_REQUIRE_MSG(rec.epoch_seconds > 0.0,
-                 "recovery.epoch_seconds must be > 0");
-  GC_REQUIRE(rec.convergence_epochs >= 1);
   GC_REQUIRE(rec.speaking_payloads >= 1);
   GC_REQUIRE_MSG(!rec.flow_control || rec.reliable_data,
                  "recovery.flow_control requires reliable_data");
-  GC_REQUIRE(rec.slow_ack_factor >= 1);
   GC_REQUIRE_MSG(rec.partition_seconds >= 0.0,
                  "recovery.partition_seconds must be >= 0");
   GC_REQUIRE_MSG(rec.partition_seconds == 0.0 || rec.replication,
                  "recovery.partition_seconds requires replication");
   if (rec.replication) {
     GC_REQUIRE_MSG(rec.replicas >= 1, "recovery.replicas must be >= 1");
-    GC_REQUIRE_MSG(rec.lease_seconds > 0.0,
-                   "recovery.lease_seconds must be > 0");
-  }
-  if (rec.partition_seconds > 0.0) {
-    GC_REQUIRE_MSG(
-        rec.partition_fraction > 0.0 && rec.partition_fraction <= 0.5,
-        "recovery.partition_fraction must be in (0, 0.5]");
-    GC_REQUIRE(rec.partition_payloads >= 1);
   }
 }
+
+/// The slow-child impairment: a slow peer's ack cadence is this many
+/// times coarser than reliability.ack_every.
+constexpr std::size_t kSlowAckFactor = 10;
+/// Share of survivors isolated with the rendezvous point on the minority
+/// side of the partition window.  Every replica stays on the majority
+/// side so a quorum can elect.
+constexpr double kPartitionFraction = 0.2;
+/// Payloads published *per side* during the partition window.
+constexpr std::size_t kPartitionPayloads = 4;
 
 /// Payload-id bases of the per-side partition probes; far above anything
 /// the speaking rounds use, so side counters never alias.
@@ -73,32 +71,22 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
 
   core::TransportOptions transport_options;
   transport_options.loss_probability = rec.loss_probability;
-  core::NodeOptions node_options;
-  node_options.advertisement = config.middleware_config().advertisement;
-  node_options.ripple_ttl = config.ripple_ttl;
-  node_options.heartbeat_interval =
-      sim::SimTime::seconds(rec.heartbeat_seconds);
-  node_options.missed_heartbeats_to_fail = rec.heartbeat_misses;
-  node_options.reliability.enabled = rec.reliable_data;
-  node_options.reliability.flow_control = rec.flow_control;
-  if (rec.flow_control) node_options.reliability.window = rec.flow_window;
-  node_options.adaptive = rec.adaptive;
-  if (rec.replication) {
-    node_options.replication.enabled = true;
-    node_options.replication.replicas = rec.replicas;
-    node_options.replication.lease_interval =
-        sim::SimTime::seconds(rec.lease_seconds);
-  }
-  const sim::SimTime epoch = sim::SimTime::seconds(rec.epoch_seconds);
   detail::NodeRuntime runtime(
-      config, transport_options, node_options, epoch,
+      config, transport_options,
       [&rec](overlay::PeerId p, core::NodeOptions& options) {
+        options.reliability.enabled = rec.reliable_data;
+        options.reliability.flow_control = rec.flow_control;
+        if (rec.flow_control) options.reliability.window = rec.flow_window;
+        if (rec.replication) {
+          options.replication.enabled = true;
+          options.replication.replicas = rec.replicas;
+        }
         if (rec.reliable_data && rec.slow_peer_stride != 0 &&
             p % rec.slow_peer_stride == 0) {
           // Slow child impairment: a coarser ack cadence starves the
           // parent's ack clock, backing data up in its per-edge sender
           // buffer.
-          options.reliability.ack_every *= rec.slow_ack_factor;
+          options.reliability.ack_every *= kSlowAckFactor;
         }
       });
   core::Transport& transport = runtime.transport();
@@ -113,7 +101,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   constexpr core::GroupId kGroup = 1;
   const overlay::PeerId rendezvous = runtime.middleware().pick_rendezvous();
   nodes[rendezvous]->create_group(kGroup);
-  runtime.advance(epoch);  // advertisement flood settles
+  runtime.advance(kEpoch);  // advertisement flood settles
 
   std::vector<overlay::PeerId> subscribers;
   const std::size_t group_size = config.effective_group_size();
@@ -128,7 +116,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // re-subscribes one epoch later; graceful leavers stop wanting below.
   for (const auto s : subscribers) runtime.want_subscriptions(s);
   for (const auto s : subscribers) nodes[s]->subscribe(kGroup);
-  runtime.settle(subscribers, {kGroup}, rec.convergence_epochs);
+  runtime.settle(subscribers, {kGroup});
 
   // Churn acts on the members that actually made it onto the tree as
   // subscribers (a failed subscriber can still sit on the tree as a pure
@@ -148,16 +136,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   const auto n_leave = static_cast<std::size_t>(
       rec.graceful_fraction * static_cast<double>(members.size()));
   sim::FaultPlan plan;
-  if (!rec.fault_plan.empty()) {
-    plan.merge(sim::FaultPlan::parse(rec.fault_plan));
-  }
   // Stagger the departures across one epoch so later failures can hit
   // peers that are already busy recovering from earlier ones.
   const sim::SimTime churn_start = runtime.clock();
   const std::size_t departures = n_crash + n_leave;
   for (std::size_t i = 0; i < departures; ++i) {
     const sim::SimTime at =
-        churn_start + sim::SimTime::micros(epoch.as_micros() * (i + 1) /
+        churn_start + sim::SimTime::micros(kEpoch.as_micros() * (i + 1) /
                                            (departures + 1));
     if (i < n_crash) {
       plan.crashes.push_back(
@@ -191,16 +176,16 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
 
   const std::size_t messages_before_recovery = transport.messages_sent();
-  runtime.advance(epoch);  // the churn window itself
+  runtime.advance(kEpoch);  // the churn window itself
 
   // --- phase 3: observe recovery epoch by epoch -------------------------
   // An orphan is a survivor found off the tree at an epoch boundary; its
   // orphan time is the number of epochs until it is first seen re-attached
-  // (convergence_epochs if never).
+  // (kConvergenceEpochs if never).
   std::unordered_map<overlay::PeerId, std::size_t> reattach_epoch;
   std::unordered_set<overlay::PeerId> orphans;
-  std::size_t epochs_to_converge = rec.convergence_epochs;
-  for (std::size_t e = 1; e <= rec.convergence_epochs; ++e) {
+  std::size_t epochs_to_converge = kConvergenceEpochs;
+  for (std::size_t e = 1; e <= kConvergenceEpochs; ++e) {
     bool converged = true;
     for (const auto s : survivors) {
       const bool attached =
@@ -212,11 +197,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
         reattach_epoch[s] = e - 1;  // epochs spent orphaned
       }
     }
-    if (converged && epochs_to_converge == rec.convergence_epochs) {
+    if (converged && epochs_to_converge == kConvergenceEpochs) {
       epochs_to_converge = e - 1;
       break;
     }
-    runtime.advance(epoch);
+    runtime.advance(kEpoch);
   }
   result.epochs_to_converge = static_cast<double>(epochs_to_converge);
   if (!orphans.empty()) {
@@ -224,7 +209,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     for (const auto o : orphans) {
       const auto it = reattach_epoch.find(o);
       total_epochs += static_cast<double>(
-          it != reattach_epoch.end() ? it->second : rec.convergence_epochs);
+          it != reattach_epoch.end() ? it->second : kConvergenceEpochs);
     }
     result.mean_orphan_epochs =
         total_epochs / static_cast<double>(orphans.size());
@@ -266,7 +251,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     // subscribers is isolated.  Replicas are never enqueued — they (and
     // everything below them) belong to the majority.
     const std::size_t n_minority = std::max<std::size_t>(
-        1, static_cast<std::size_t>(rec.partition_fraction *
+        1, static_cast<std::size_t>(kPartitionFraction *
                                     static_cast<double>(survivors.size())));
     std::unordered_set<overlay::PeerId> minority_set{rendezvous};
     std::vector<overlay::PeerId> frontier{rendezvous};
@@ -305,9 +290,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       // Probe late in the window: the majority side's cut subtree heads
       // walk the full recovery ladder (each partitioned rung candidate
       // burns a whole retry ladder) before they reach the elected
-      // replica, so the delivery probe measures the *steady* partitioned
-      // state, not the failover transient.
-      runtime.advance(sim::SimTime::seconds(rec.partition_seconds * 0.8));
+      // replica, so on a window of about 20 s or more the delivery probe
+      // measures the *steady* partitioned state; a shorter window catches
+      // the failover transient.
+      runtime.advance(
+          sim::SimTime::seconds(rec.partition_seconds * kPartitionProbeAt));
 
       // The majority must have elected by now, and each side may hold at
       // most one leaseholder.
@@ -346,13 +333,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       }
       if (nodes[rendezvous]->running() &&
           nodes[rendezvous]->on_tree(kGroup)) {
-        for (std::uint64_t i = 0; i < rec.partition_payloads; ++i) {
+        for (std::uint64_t i = 0; i < kPartitionPayloads; ++i) {
           nodes[rendezvous]->publish(kGroup, kMinorityProbeBase + i);
         }
       }
       if (majority_leader != overlay::kNoPeer &&
           nodes[majority_leader]->on_tree(kGroup)) {
-        for (std::uint64_t i = 0; i < rec.partition_payloads; ++i) {
+        for (std::uint64_t i = 0; i < kPartitionPayloads; ++i) {
           nodes[majority_leader]->publish(kGroup, kMajorityProbeBase + i);
         }
       }
@@ -373,13 +360,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
               ? 1.0
               : static_cast<double>(minority_deliveries.load()) /
                     static_cast<double>(minority_probe_nodes *
-                                        rec.partition_payloads);
+                                        kPartitionPayloads);
       result.partition_majority_delivery =
           majority_probe_nodes == 0
               ? 1.0
               : static_cast<double>(majority_deliveries.load()) /
                     static_cast<double>(majority_probe_nodes *
-                                        rec.partition_payloads);
+                                        kPartitionPayloads);
     }
     transport.set_fault_filter(&injector);  // restore the churn plan
 
@@ -387,10 +374,10 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     // folds its subtree back under the elected leader.
     auto healed = core::check_replication_invariants(views, kGroup);
     for (std::size_t e = 0;
-         e < rec.convergence_epochs &&
+         e < kConvergenceEpochs &&
          (!healed.ok() || !nodes[rendezvous]->on_tree(kGroup));
          ++e) {
-      runtime.advance(epoch);
+      runtime.advance(kEpoch);
       healed = core::check_replication_invariants(views, kGroup);
     }
     result.invariant_violations +=
@@ -445,7 +432,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
        ++payload) {
     nodes[speaker]->publish(kGroup, payload);
   }
-  runtime.advance(epoch);
+  runtime.advance(kEpoch);
   const std::size_t expected = survivors.size() * rec.speaking_payloads;
   result.delivery_ratio =
       expected == 0 ? 1.0
@@ -460,8 +447,8 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // snapshot.
   auto report =
       core::check_tree_invariants(views, kGroup, acting_root(), survivors);
-  for (std::size_t e = 0; e < rec.convergence_epochs && !report.ok(); ++e) {
-    runtime.advance(epoch);
+  for (std::size_t e = 0; e < kConvergenceEpochs && !report.ok(); ++e) {
+    runtime.advance(kEpoch);
     report =
         core::check_tree_invariants(views, kGroup, acting_root(), survivors);
   }

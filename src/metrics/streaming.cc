@@ -37,12 +37,6 @@ void validate(const StreamingOptions& str) {
                  "streaming.sources.publishers must be >= 1");
   GC_REQUIRE_MSG(str.flash_crowd_seconds > 0.0,
                  "streaming.flash_crowd_seconds must be > 0");
-  GC_REQUIRE_MSG(str.heartbeat_seconds > 0.0,
-                 "streaming.heartbeat_seconds must be > 0");
-  GC_REQUIRE(str.heartbeat_misses >= 1);
-  GC_REQUIRE_MSG(str.epoch_seconds > 0.0,
-                 "streaming.epoch_seconds must be > 0");
-  GC_REQUIRE(str.convergence_epochs >= 1);
 }
 
 /// Group ids used by the harness: the shared-tree mode uses kGroupBase
@@ -82,20 +76,19 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   transport_options.bandwidth.downlink_kbps = str.downlink_kbps;
   transport_options.bandwidth.scale_with_capacity =
       str.scale_caps_with_capacity;
-  core::NodeOptions node_options;
-  node_options.advertisement = config.middleware_config().advertisement;
-  node_options.ripple_ttl = config.ripple_ttl;
-  node_options.heartbeat_interval =
-      sim::SimTime::seconds(str.heartbeat_seconds);
-  node_options.missed_heartbeats_to_fail = str.heartbeat_misses;
-  node_options.reliability.enabled = str.reliable_data;
-  node_options.reliability.flow_control = str.flow_control;
-  node_options.adaptive = str.adaptive;
-  const sim::SimTime epoch = sim::SimTime::seconds(str.epoch_seconds);
-  detail::NodeRuntime runtime(config, transport_options, node_options, epoch);
+  detail::NodeRuntime runtime(
+      config, transport_options,
+      [&str](overlay::PeerId, core::NodeOptions& options) {
+        options.reliability.enabled = str.reliable_data;
+        options.reliability.flow_control = str.flow_control;
+      });
   core::Transport& transport = runtime.transport();
   util::Rng& rng = runtime.rng();
   auto& nodes = runtime.nodes();
+
+  // Flight recorder: one frame per epoch, as in the recovery harness, so
+  // a traced streaming run carries its delivery trajectory too.
+  runtime.arm_flight_recorder();
 
   // --- phase 1: sources, groups, and the advertisement flood ------------
   // Shared tree: the rendezvous roots the one group and every publisher
@@ -121,7 +114,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   } else {
     nodes[rendezvous]->create_group(kGroupBase);
   }
-  runtime.advance(epoch);  // advertisement flood settles
+  runtime.advance(detail::kEpoch);  // advertisement flood settles
 
   // --- phase 2: viewers subscribe, tree converges -----------------------
   std::vector<char> is_source(config.peer_count, 0);
@@ -155,7 +148,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   for (const auto v : viewers) {
     for (const auto g : all_groups) nodes[v]->subscribe(g);
   }
-  runtime.settle(viewers, all_groups, str.convergence_epochs);
+  runtime.settle(viewers, all_groups);
 
   // --- phase 3: the streaming window ------------------------------------
   const sim::SimTime stream_start = runtime.clock();
@@ -258,7 +251,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   // repair of the tail, flash-join completion).
   runtime.advance(sim::SimTime::micros(interval.as_micros() *
                                static_cast<std::int64_t>(str.chunks + 1)) +
-          deadline_after + epoch);
+          deadline_after + detail::kEpoch);
 
   // --- phase 4: the player model ----------------------------------------
   // Score each viewer against the chunks that were actually published

@@ -14,8 +14,6 @@ const char* to_string(HistogramId id) {
       return "nack_repair_us";
     case HistogramId::kWindowOccupancy:
       return "window_occupancy";
-    case HistogramId::kEstimatedLoss:
-      return "estimated_loss";
     case HistogramId::kThrottleUs:
       return "throttle_us";
     case HistogramId::kHandoffUs:

@@ -29,7 +29,6 @@ enum class HistogramId : std::uint8_t {
   kEndToEndDelayUs,   // publish-to-deliver delay per probe payload, µs
   kNackRepairUs,      // first NACK to in-order repair per rx-edge gap, µs
   kWindowOccupancy,   // in-flight seqs per windowed send (flow control on)
-  kEstimatedLoss,     // adaptive per-edge loss estimate, permille (EWMA)
   kThrottleUs,        // duration of each sender throttle episode, µs
   kHandoffUs,         // lease-expiry detection to committed takeover, µs
   kChunkSlackUs,      // deadline minus arrival per on-time chunk, µs

@@ -1,10 +1,10 @@
 // Tests for the reliable data plane on tree edges (docs/ROBUSTNESS.md,
-// "Data-plane reliability" and "Flow control & adaptive detection"):
+// "Data-plane reliability" and "Flow control"):
 // exactly-once delivery through loss via NACK/retransmit, sequence-layer
 // duplicate suppression under retransmit races, cumulative-ack trimming of
 // the per-child send buffer, per-edge high-water accounting, sender-side
-// flow control under a slow child, the adaptive miss-threshold math, and
-// the determinism of the reliability counters across grid worker counts.
+// flow control under a slow child, and the determinism of the
+// reliability counters across grid worker counts.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -204,15 +204,6 @@ TEST(DataPlane, ValidationRejectsMalformedReliabilityOptions) {
                  PreconditionError);
   };
   NodeOptions options = reliable_options();
-  options.reliability.nack_jitter = 1.5;  // beyond the [0, 1] stretch
-  reject(options);
-  options = reliable_options();
-  options.reliability.nack_jitter = -0.1;
-  reject(options);
-  options = reliable_options();
-  options.reliability.max_nack_rounds = 0;  // a gap could never be skipped
-  reject(options);
-  options = reliable_options();
   options.reliability.ack_every = 0;  // no ack cadence at all
   reject(options);
   options = reliable_options();
@@ -221,12 +212,12 @@ TEST(DataPlane, ValidationRejectsMalformedReliabilityOptions) {
   reject(options);
   options = reliable_options();
   options.reliability.flow_control = true;
-  options.reliability.window = 256;  // windowed data would fall off the
-  options.reliability.send_buffer_cap = 128;  // retransmit buffer
+  // Windowed data would fall off the retransmit buffer.
+  options.reliability.window = kSendBufferCap + 1;
   reject(options);
   // The same values are fine while the features are off.
   options = reliable_options();
-  options.reliability.window = 256;
+  options.reliability.window = kSendBufferCap + 1;
   GroupCastNode ok(0, transport, graph, options, world.rng);
 }
 
@@ -318,10 +309,8 @@ TEST(DataPlane, SlowChildFlowControlBoundsSenderBuffer) {
 // succeeds in order; the pin is the unbounded-versus-bounded depth.)
 TEST(DataPlane, SlowChildWithoutFlowControlFillsBufferToCap) {
   CounterScope scope(3);
-  constexpr std::size_t kCap = 8;
   const auto options_for = [](PeerId p) {
     NodeOptions options = reliable_options();
-    options.reliability.send_buffer_cap = kCap;
     options.reliability.ack_every = p == 2 ? 1000 : 2;
     return options;
   };
@@ -331,9 +320,11 @@ TEST(DataPlane, SlowChildWithoutFlowControlFillsBufferToCap) {
   d.nodes[2]->subscribe(9);
   d.simulator.run();
   ASSERT_EQ(d.nodes[2]->tree_parent(9), 0u);
-  for (std::uint64_t i = 0; i < 32; ++i) d.nodes[0]->publish(9, 7000 + i);
+  for (std::uint64_t i = 0; i < kSendBufferCap + 32; ++i) {
+    d.nodes[0]->publish(9, 7000 + i);
+  }
   // Everything beyond the cap fell off the retransmit buffer.
-  EXPECT_EQ(d.nodes[0]->send_buffer_depth(9, 2), kCap);
+  EXPECT_EQ(d.nodes[0]->send_buffer_depth(9, 2), kSendBufferCap);
   EXPECT_EQ(d.nodes[0]->pending_depth(9, 2), 0u);  // nothing parks
   EXPECT_EQ(trace::counters().total(trace::CounterId::kFlowBlocked), 0u);
   d.simulator.run();
@@ -386,19 +377,6 @@ TEST(DataPlane, ThrottlePropagatesUpTheTree) {
   EXPECT_EQ(d.nodes[1]->pending_depth(9, 2), 0u);
 }
 
-TEST(DataPlane, AdaptiveMissThresholdFollowsFalsePositiveMath) {
-  // docs/ROBUSTNESS.md: k consecutive misses are a false positive with
-  // probability m^k; the threshold is the smallest k with m^k <= 1e-4,
-  // clamped to [floor, 12].
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.0, 2), 2u);   // quiet
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.2, 2), 6u);
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.5, 2), 12u);  // capped
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(1.0, 2), 12u);
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.001, 4), 4u);  // floor
-  // A floor above the adaptive cap wins: adaptivity never narrows it.
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.9, 15), 15u);
-}
-
 // The reliability counters (nacks_sent / retransmits / dups_suppressed /
 // send_buffer_high_water) are part of the grid's determinism contract:
 // byte-identical whether the recovery sweep runs sequentially or on four
@@ -435,10 +413,10 @@ TEST(DataPlane, ReliableRecoveryGridIdenticalAcrossJobCounts) {
   EXPECT_GT(a[0].counters.total(trace::CounterId::kRetransmits), 0u);
 }
 
-// The self-tuning transport keeps the same contract: with flow control,
-// adaptive detection, and the slow-child impairment all on, the counters
-// AND the new histograms (window_occupancy / estimated_loss / throttle_us)
-// are byte-identical whatever the worker count.
+// The self-tuning transport keeps the same contract: with flow control
+// and the slow-child impairment on over a lossy network, the counters AND
+// the histograms (window_occupancy / nack_repair_us / throttle_us) are
+// byte-identical whatever the worker count.
 TEST(DataPlane, SelfTuningGridIdenticalAcrossJobCounts) {
   metrics::ScenarioConfig point;
   point.peer_count = 200;
@@ -449,7 +427,6 @@ TEST(DataPlane, SelfTuningGridIdenticalAcrossJobCounts) {
   point.recovery.reliable_data = true;
   point.recovery.flow_control = true;
   point.recovery.flow_window = 4;
-  point.recovery.adaptive = true;
   point.recovery.slow_peer_stride = 5;
   point.recovery.speaking_payloads = 32;
 
@@ -475,7 +452,7 @@ TEST(DataPlane, SelfTuningGridIdenticalAcrossJobCounts) {
   EXPECT_GT(
       a[0].histograms.of(trace::HistogramId::kWindowOccupancy).count, 0u);
   EXPECT_GT(
-      a[0].histograms.of(trace::HistogramId::kEstimatedLoss).count, 0u);
+      a[0].histograms.of(trace::HistogramId::kNackRepairUs).count, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/middleware.h"
 #include "core/node.h"
 #include "metrics/experiment.h"
+#include "metrics/harness_common.h"
 #include "sim/fault_plan.h"
 #include "trace/counters.h"
 
@@ -37,7 +38,7 @@ TEST(Recovery, SurvivorsReattachUnderHeavyLossAndChurn) {
   EXPECT_GT(result.delivery_ratio, 0.0);
   EXPECT_GT(result.subscription_success_rate, 0.9);
   EXPECT_LT(result.epochs_to_converge,
-            static_cast<double>(hostile_point().recovery.convergence_epochs));
+            static_cast<double>(metrics::detail::kConvergenceEpochs));
 }
 
 // The same hostile point must produce byte-identical numbers whether the

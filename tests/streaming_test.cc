@@ -43,10 +43,6 @@ TEST(Streaming, ValidationRejectsBadOptionsLoudly) {
   rejects([](metrics::StreamingOptions& s) { s.flow_control = true; });
   rejects([](metrics::StreamingOptions& s) { s.sources.publishers = 0; });
   rejects([](metrics::StreamingOptions& s) { s.flash_crowd_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.heartbeat_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.heartbeat_misses = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.epoch_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.convergence_epochs = 0; });
 }
 
 TEST(Streaming, MutuallyExclusiveWithRecoveryHarness) {
